@@ -7,12 +7,12 @@
 // Usage:
 //
 //	ammnode [-epochs N] [-daily V] [-committee N] [-seed S] [-v]
-//	ammnode -data-dir DIR -pools N [...]            # durable multi-pool node
+//	ammnode -data-dir DIR -pools N [...]            # durable N-pool node
 //	ammnode -data-dir DIR -pools N -kill-at-epoch E # die after epoch E persists
 //	ammnode -data-dir DIR -pools N -compact-every K # checkpoint every K epochs
 //	ammnode -data-dir DIR -pools N -bootstrap-from PEER/ammboost.store
 //
-// With -data-dir the node runs the sharded multi-pool backend and
+// With -data-dir the node drives Zipf traffic over -pools pools and
 // persists every retired epoch to an append-only store in DIR. Re-running
 // with the same flags resumes from the newest valid snapshot — try the
 // kill/restart demo:
@@ -56,7 +56,7 @@ func main() {
 	committee := flag.Int("committee", 20, "sidechain committee size")
 	seed := flag.Int64("seed", 1, "deterministic run seed")
 	verbose := flag.Bool("v", false, "log meta-blocks and per-op gas")
-	dataDir := flag.String("data-dir", "", "durable store directory (enables the multi-pool persistent node)")
+	dataDir := flag.String("data-dir", "", "durable store directory (runs the persistent N-pool node)")
 	pools := flag.Int("pools", 0, "registered pools (required with -data-dir)")
 	killAt := flag.Int("kill-at-epoch", 0, "exit abruptly (kill -9 style) once epoch N has persisted")
 	compactEvery := flag.Int("compact-every", 0, "compact the durable store every N confirmed epochs (0 = never; requires -data-dir)")
@@ -274,7 +274,7 @@ func attachEpochTraffic(ms *core.MultiSystem, seed int64, perEpoch int) {
 // runDurable runs (or resumes) the persistent multi-pool node.
 func runDurable(dataDir string, pools, epochs, daily, committee int, seed int64, killAt, compactEvery int, bootstrapFrom string, verbose bool, adminAddr string) int {
 	if pools <= 0 {
-		fmt.Fprintln(os.Stderr, "ammnode: -data-dir requires -pools N (the durable store backs the multi-pool engine)")
+		fmt.Fprintln(os.Stderr, "ammnode: -data-dir requires -pools N (the durable node drives Zipf traffic over N pools)")
 		return 2
 	}
 	if killAt > 0 && killAt > epochs-2 {

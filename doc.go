@@ -3,10 +3,14 @@
 // "ammBoost: State Growth Control for AMMs" (DSN 2025).
 //
 // Clients program against the unified node API in internal/chain: a single
-// chain.Chain interface implemented by both deployment backends (the
-// single-pool core.System and the sharded multi-pool core.MultiSystem),
+// chain.Chain interface implemented by one lifecycle backend,
+// core.MultiSystem, which runs any number of pools on a sharded engine —
+// the paper's single Uniswap pool is the default one-pool deployment —
 // with receipt-returning submission, typed lifecycle errors out of Run,
-// and subscribable epoch lifecycle events.
+// and subscribable epoch lifecycle events. The same node carries the
+// paper's mainchain deposit flow (driven by core.NewDriver for the paper
+// tables), mass-sync recovery after skipped or rolled-back syncs, and an
+// ERC20-custody bank whose token conservation Validate checks.
 //
 // Submission is a concurrent serving path: Submit(ctx, tx) and
 // SubmitBatch(ctx, txs) are safe from any number of producer
@@ -30,10 +34,10 @@
 //
 // (see cmd/trafficgen -load for a multi-producer client built on this
 // loop, internal/ingest for the sharded-mempool front end behind it,
-// and chain.WithIngestCapacity / WithIngestSoftMark / WithIngestMaxWait
-// for the admission policy knobs).
+// and chain.Config's IngestCapacity / IngestSoftMark / IngestMaxWait for
+// the admission policy knobs).
 //
-// The multi-pool backend pipelines its epoch lifecycle: with
+// The node pipelines its epoch lifecycle: with
 // chain.Config.PipelineDepth >= 2 (default 2), a finished epoch's
 // commitment build, sync chunking, and TSQC signing run on an
 // asynchronous commit stage while the next epoch executes, bounded by a
@@ -43,7 +47,7 @@
 // serving as the differential reference; pipelining changes timing,
 // never state.
 //
-// Multi-pool deployments are durable: chain.Open(dir, cfg) opens (or
+// Deployments are durable: chain.Open(dir, cfg) opens (or
 // creates) an append-only epoch store and returns a node that persists
 // every retired epoch — pool snapshots, summary roots, payload digests,
 // the receipt table, and the TSQC-signed sync-part log. A node killed at

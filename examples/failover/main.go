@@ -118,7 +118,7 @@ func part2MassSync() {
 	fmt.Printf("   epoch 2 sync skipped (malicious leader at epoch end)\n")
 	fmt.Printf("   epoch 3 round 5 leader silent → view change (total: %d)\n", rep.ViewChanges)
 	fmt.Printf("   epoch 4 sync lost to mainchain rollback\n")
-	fmt.Printf("   recovery: %d mass-syncs; TokenBank caught up to epoch %d\n",
+	fmt.Printf("   recovery: %d mass-syncs; the bank caught up to epoch %d\n",
 		rep.MassSyncs, node.LastSyncedEpoch())
 	fmt.Printf("   all payouts delivered: avg payout latency %.2f s\n", rep.AvgPayoutLatency.Seconds())
 	fmt.Printf("   cross-layer parity: OK (reserves and positions match)\n")

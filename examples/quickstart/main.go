@@ -1,10 +1,10 @@
 // Quickstart: stand up a complete ammBoost deployment — mainchain with
-// TokenBank, PBFT sidechain, workload — through the unified chain.Chain
-// node API, run three epochs, and print the state growth control
-// results. Demonstrates the three pillars of the API: receipts (Submit
-// returns a handle that advances through the epoch lifecycle), typed
-// errors (Run reports lifecycle faults instead of panicking), and event
-// subscriptions.
+// the bank and ERC20 pair, PBFT sidechain, workload — through the
+// unified chain.Chain node API, run three epochs, and print the state
+// growth control results. Demonstrates the three pillars of the API:
+// receipts (Submit returns a handle that advances through the epoch
+// lifecycle), typed errors (Run reports lifecycle faults instead of
+// panicking), and event subscriptions.
 package main
 
 import (
@@ -87,7 +87,7 @@ func main() {
 	fmt.Printf("  sidechain peak:       %d B\n", rep.SidechainPeakBytes)
 	fmt.Printf("  sidechain retained:   %d B after pruning (reclaimed %d B)\n",
 		rep.SidechainRetainedBytes, rep.SidechainPrunedBytes)
-	fmt.Printf("  TokenBank state:      %d live positions, epoch %d synced\n",
+	fmt.Printf("  bank state:           %d live positions, epoch %d synced\n",
 		rep.PositionsLive, node.LastSyncedEpoch())
 	fmt.Printf("  sample receipt:       %s %s (executed e%d/r%d at %s, synced at %s, pruned at %s)\n",
 		rc.TxID, rc.Status, rc.Epoch, rc.Round,

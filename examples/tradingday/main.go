@@ -73,7 +73,7 @@ func main() {
 	fmt.Printf("\nammBoost saves %.1f%% gas and %.1f%% chain growth on this day.\n", gasSave, byteSave)
 
 	// Show LP positions' lifecycle from the node's synced position list.
-	fmt.Println("\nTokenBank liquidity positions after the day:")
+	fmt.Println("\nBank liquidity positions after the day:")
 	for i, pos := range node.Positions() {
 		if i == 5 {
 			break

@@ -4,7 +4,7 @@
 // exact output), mints, burns, collects, and flash loans.
 //
 // The same engine backs the on-mainchain baseline AMM, the ammBoost
-// sidechain executor, and TokenBank's pool-state reconstruction, satisfying
+// sidechain executor, and the bank's pool-state reconstruction, satisfying
 // the paper's requirement that layer-2 processing follows "the same logic
 // adopted by the AMM itself".
 package amm

@@ -1,8 +1,7 @@
-// Package chain defines the unified client-facing node API both ammBoost
-// backends implement: the single-pool core.System and the sharded
-// multi-pool core.MultiSystem. It replaces the two divergent simulation
-// façades with one surface the way real node software exposes state —
-// submission returns a Receipt that advances through the paper's epoch
+// Package chain defines the client-facing node API core.MultiSystem
+// implements, whether it runs the paper's single pool or many. It
+// exposes state the way real node software does — submission returns a
+// Receipt that advances through the paper's epoch
 // lifecycle (Pending → Executed → Checkpointed → Synced → Pruned),
 // lifecycle faults surface as typed sentinel errors out of Run instead of
 // panics, and the epoch machinery publishes observable Events
@@ -79,8 +78,7 @@ var (
 // Escrow-claim errors (the federation escrow surface).
 var (
 	// ErrNoEscrow rejects Claimable/ClaimRefund on a node with no
-	// federation escrow attached (single-tenant deployments, or the
-	// single-pool backend).
+	// federation escrow attached (single-tenant deployments).
 	ErrNoEscrow = errors.New("chain: no federation escrow attached")
 	// ErrNothingClaimable rejects a claim for a user with no parked
 	// refund balance on this chain's claimable ledger.
@@ -207,7 +205,8 @@ func (s Status) String() string {
 type Receipt struct {
 	// TxID is the submitted transaction's ID (or a synthetic deposit ID).
 	TxID string
-	// PoolID routes multi-pool deployments; empty means the canonical pool.
+	// PoolID routes the transaction; empty means the default (first)
+	// pool.
 	PoolID string
 	// Status is the current lifecycle stage.
 	Status Status
@@ -268,10 +267,8 @@ type PoolInfo struct {
 	Positions int
 }
 
-// Chain is the unified node API. Both backends — the single-pool
-// core.System and the sharded multi-pool core.MultiSystem — implement
-// it; binaries, examples, and experiments program against this interface
-// only.
+// Chain is the unified node API core.MultiSystem implements; binaries,
+// examples, and experiments program against this interface only.
 type Chain interface {
 	// Submit validates the transaction up front (unknown pool, malformed
 	// amounts, unfunded user) and admits it into the mempool, returning
@@ -289,10 +286,11 @@ type Chain interface {
 	// ErrClosed, ErrThrottled, a context already done) — per-transaction
 	// failures never fail the call. Safe for concurrent producers.
 	SubmitBatch(ctx context.Context, txs []*summary.Tx) (*BatchResult, error)
-	// SubmitDeposit funds a user's epoch deposit. On the single-pool
-	// backend this runs the full mainchain deposit flow and the receipt
-	// reaches StatusSynced at confirmation; on the multi-pool backend the
-	// credit lands on the default pool's epoch snapshot directly.
+	// SubmitDeposit funds a user's epoch deposit: the credit lands on
+	// the default pool's epoch snapshot directly (the tokens reach the
+	// bank's custody without a mainchain transaction), and the receipt
+	// reaches StatusExecuted when it does. The paper's workload driver
+	// funds epochs through the mainchain deposit flow instead.
 	SubmitDeposit(user string, epoch uint64, amount0, amount1 u256.Int) (*Receipt, error)
 	// Subscribe returns a channel of lifecycle events matching the mask.
 	// The channel is closed when Run finishes; subscribers must drain it
@@ -325,8 +323,8 @@ type Chain interface {
 	// LastSyncedEpoch returns the highest epoch the mainchain bank has
 	// confirmed a Sync for.
 	LastSyncedEpoch() uint64
-	// PoolIDs lists the registered pools (the single-pool backend reports
-	// one empty ID, matching Tx.PoolID routing).
+	// PoolIDs lists the registered pools in canonical order; an empty
+	// Tx.PoolID routes to the first.
 	PoolIDs() []string
 	// PoolInfo reports one pool's canonical reserves and live positions.
 	PoolInfo(poolID string) (PoolInfo, bool)
@@ -345,14 +343,14 @@ type Chain interface {
 	// simulator goroutine (like SubmitDeposit) while the node is
 	// running; the receipt reaches StatusSynced when the re-credit
 	// lands. Errors: ErrNoEscrow (no escrow attached — single-tenant
-	// nodes and the single-pool backend), ErrNothingClaimable, ErrHalted.
+	// nodes), ErrNothingClaimable, ErrHalted.
 	ClaimRefund(user string) (*Receipt, error)
 }
 
-// CheckTx performs the backend-independent shape validation Submit
-// applies before queueing: amounts, tick ranges, and position references
-// must be plausible for the transaction's kind. Pool and user existence
-// are checked by the backend.
+// CheckTx performs the shape validation Submit applies before queueing:
+// amounts, tick ranges, and position references must be plausible for
+// the transaction's kind. Pool and user existence are checked by the
+// node.
 func CheckTx(tx *summary.Tx) error {
 	if tx == nil {
 		return fmt.Errorf("%w: nil transaction", ErrMalformedTx)

@@ -82,7 +82,7 @@ func TestCheckTx(t *testing.T) {
 
 func TestConfigDefaultsSharedHelper(t *testing.T) {
 	// NewConfig with no options equals the zero config's defaults: one
-	// helper fills both backends' shared fields, so they cannot drift.
+	// helper fills every default, so the two cannot drift.
 	a := NewConfig()
 	b := Config{}.WithDefaults()
 	if a.EpochRounds != b.EpochRounds || a.RoundDuration != b.RoundDuration ||
@@ -107,9 +107,9 @@ func TestConfigDefaultsSharedHelper(t *testing.T) {
 	if d.Seed != 9 || d.NumPools != 64 || d.NumShards != 4 || d.EpochRounds != 10 {
 		t.Errorf("options not applied: %+v", d)
 	}
-	// NumPools stays zero (single-pool backend) unless opted in.
-	if a.NumPools != 0 {
-		t.Errorf("default NumPools = %d, want 0 (single-pool)", a.NumPools)
+	// The default deployment is the paper's single pool.
+	if a.NumPools != 1 {
+		t.Errorf("default NumPools = %d, want 1 (the paper's single pool)", a.NumPools)
 	}
 }
 

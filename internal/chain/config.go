@@ -11,8 +11,8 @@ import (
 	"ammboost/internal/u256"
 )
 
-// ConsensusFidelity selects how the multi-pool backend reaches agreement
-// each round.
+// ConsensusFidelity selects how the committee reaches agreement each
+// round.
 type ConsensusFidelity string
 
 const (
@@ -31,10 +31,9 @@ const (
 
 // FaultPlan schedules the interruptions the paper's recovery mechanisms
 // handle, plus the unrecoverable faults the typed-error path surfaces.
-// Backend support: SilentLeaderRounds and CorruptSyncEpochs work on both
-// backends; SkipSyncEpochs and ReorgSyncEpochs (the mass-sync recovery
-// chain) are single-pool only — the multi-pool constructor rejects them
-// with a typed error rather than silently ignoring them.
+// Every field works at any pool count; ByzantineReplicas alone needs
+// live consensus fidelity (the constructor rejects it under the model
+// with a typed error rather than silently ignoring it).
 type FaultPlan struct {
 	// SilentLeaderRounds marks (epoch, round) pairs whose leader stays
 	// silent: the committee times out, changes view, and the next leader
@@ -42,11 +41,11 @@ type FaultPlan struct {
 	SilentLeaderRounds map[[2]uint64]bool
 	// SkipSyncEpochs marks epochs whose committee fails to issue the
 	// Sync call (malicious leader at epoch end); the next committee
-	// mass-syncs. Single-pool backend only.
+	// mass-syncs: it submits the held epoch's signed parts ahead of its
+	// own. The run's final epoch always syncs.
 	SkipSyncEpochs map[uint64]bool
 	// ReorgSyncEpochs marks epochs whose Sync lands in a mainchain block
 	// that is rolled back; recovery is the same mass-sync path.
-	// Single-pool backend only.
 	ReorgSyncEpochs map[uint64]bool
 	// CorruptSyncEpochs marks epochs whose committee signs a corrupted
 	// digest: the bank's TSQC verification fails, the Sync reverts
@@ -57,7 +56,7 @@ type FaultPlan struct {
 	// committee replicas by index (equivocate on roots, vote-then-stall,
 	// propose corrupt digests, stay silent). Live fidelity only: the
 	// analytic model cannot represent per-replica behavior, so the
-	// multi-pool constructor rejects the combination with
+	// constructor rejects the combination with
 	// ErrUnsupportedFault instead of silently ignoring it.
 	ByzantineReplicas map[int]pbft.Byzantine
 	// ViewChangeStormRounds marks (epoch, round) pairs that suffer k
@@ -83,10 +82,9 @@ func (f FaultPlan) StormLength(epoch, round uint64) int {
 	return k
 }
 
-// Config parameterizes a deployment on either backend. Zero values take
-// the paper's defaults (WithDefaults); NumPools selects the backend:
-// zero runs the single canonical-pool System, one or more runs the
-// sharded-engine MultiSystem.
+// Config parameterizes a deployment. Zero values take the paper's
+// defaults (WithDefaults): one pool, the paper's single Uniswap pool, on
+// the sharded engine.
 type Config struct {
 	Seed int64
 	// ChainID names this sidechain inside a federation (empty for the
@@ -113,23 +111,20 @@ type Config struct {
 	// InitialLiquidity seeds each pool's genesis full-range position.
 	InitialLiquidity u256.Int
 
-	// Single-pool backend: per-user per-epoch deposit funding.
-	DepositPerUser0 u256.Int
-	DepositPerUser1 u256.Int
-
-	// Multi-pool backend. NumPools > 0 selects the sharded engine.
+	// NumPools is the number of registered pools (default 1).
 	NumPools int
 	// NumShards is the engine's worker-shard count (default GOMAXPROCS).
 	NumShards int
 	// DepositPerUserPerPool funds a (user, pool) pair the first time the
-	// user trades on that pool in an epoch.
+	// user trades on that pool in an epoch, unless the pair already holds
+	// a deposit for the epoch.
 	DepositPerUserPerPool u256.Int
 	// SyncGasBudget caps one sync transaction's estimated gas; an epoch
 	// whose payloads exceed it splits into multiple sync parts (default
 	// 20M, comfortably under the 30M block limit).
 	SyncGasBudget uint64
-	// PipelineDepth bounds how many epochs the multi-pool backend keeps
-	// in flight at once: the executing epoch plus the sealed epochs whose
+	// PipelineDepth bounds how many epochs the node keeps in flight at
+	// once: the executing epoch plus the sealed epochs whose
 	// asynchronous commitment/sync stage has not yet retired (default 2).
 	// Depth 1 disables pipelining — each epoch's commitment build, summary
 	// checkpoint, and sync submission complete before the next epoch
@@ -140,13 +135,11 @@ type Config struct {
 	// summary agreement, and wall-clock commitment hashing, chunking, and
 	// TSQC signing run concurrently with next-epoch execution. The
 	// computed state (summary roots, payload digests) is identical at
-	// every depth; only timing changes. The single-pool backend ignores
-	// the field.
+	// every depth; only timing changes.
 	PipelineDepth int
 
-	// Users registers the deployment's known user set up front. The
-	// multi-pool backend requires it when a node is constructed through
-	// Open (there is no workload generator to supply users at recovery);
+	// Users registers the deployment's known user set up front. A node
+	// constructed through Open requires it (there is no workload generator to supply users at recovery);
 	// NewMultiDriver fills it from the generator. The durable store's
 	// deployment fingerprint covers it.
 	Users []string
@@ -180,7 +173,7 @@ type Config struct {
 	// the last <n epochs on a crash for lower epoch-close latency.
 	StoreFsyncEvery int
 
-	// Ingest front end (both backends): the thread-safe admission layer
+	// Ingest front end: the thread-safe admission layer
 	// in front of the epoch lifecycle. IngestCapacity bounds the mempool
 	// (default 1M transactions); a producer finding it full blocks up to
 	// IngestMaxWait wall-clock (default 10 ms) for a drain, then gets a
@@ -205,16 +198,16 @@ type Config struct {
 	// memory, exportable as Chrome trace-event JSON and summarized into
 	// the Report's stage histograms. Nil disables tracing at zero cost.
 	// Tracing never perturbs computed state: roots and payload digests
-	// are bit-identical with tracing on or off. Multi-pool backend only.
+	// are bit-identical with tracing on or off.
 	Tracer *trace.Tracer
 	// TraceBuffer bounds the tracer's retained-epoch window (default 8).
 	// Older epochs' spans rotate out, so tracing holds constant memory on
 	// arbitrarily long runs.
 	TraceBuffer int
 
-	// ConsensusFidelity routes multi-pool committee rounds through the
-	// analytic cost model (default) or real PBFT replicas over the
-	// simulated network. The single-pool backend ignores it.
+	// ConsensusFidelity routes committee rounds through the analytic
+	// cost model (default) or real PBFT replicas over the simulated
+	// network.
 	ConsensusFidelity ConsensusFidelity
 	// LiveFaultBudget is f for the live committee: 3f+2 replicas carry
 	// the message-level protocol (default 1 → 5 replicas). The full
@@ -248,9 +241,7 @@ type Config struct {
 	Faults    FaultPlan
 }
 
-// WithDefaults fills zero values with the paper's configuration. Both
-// backends use this one helper, so shared defaults (seed handling,
-// rounds, durations, committee sizing) cannot drift between them.
+// WithDefaults fills zero values with the paper's configuration.
 func (c Config) WithDefaults() Config {
 	if c.EpochRounds == 0 {
 		c.EpochRounds = 30
@@ -276,11 +267,8 @@ func (c Config) WithDefaults() Config {
 	if c.InitialLiquidity.IsZero() {
 		c.InitialLiquidity = u256.MustFromDecimal("10000000000000") // 1e13
 	}
-	if c.DepositPerUser0.IsZero() {
-		c.DepositPerUser0 = u256.MustFromDecimal("2000000000") // 2e9
-	}
-	if c.DepositPerUser1.IsZero() {
-		c.DepositPerUser1 = u256.MustFromDecimal("2000000000")
+	if c.NumPools <= 0 {
+		c.NumPools = 1
 	}
 	if c.DepositPerUserPerPool.IsZero() {
 		c.DepositPerUserPerPool = u256.FromUint64(1 << 40)
@@ -348,21 +336,11 @@ func NewConfig(opts ...Option) Config {
 // WithSeed pins the deterministic run seed.
 func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
 
-// WithChainID names this sidechain inside a federation.
-func WithChainID(id string) Option { return func(c *Config) { c.ChainID = id } }
-
-// WithSyncFaults installs a deterministic fault schedule on the
-// sidechain→mainchain sync submission path.
-func WithSyncFaults(fs *netsim.FaultSchedule) Option { return func(c *Config) { c.SyncFaults = fs } }
-
 // WithEpochRounds sets ω, the rounds per epoch.
 func WithEpochRounds(n int) Option { return func(c *Config) { c.EpochRounds = n } }
 
 // WithRoundDuration sets the sidechain round length.
 func WithRoundDuration(d time.Duration) Option { return func(c *Config) { c.RoundDuration = d } }
-
-// WithMetaBlockBytes caps the meta-block size.
-func WithMetaBlockBytes(n int) Option { return func(c *Config) { c.MetaBlockBytes = n } }
 
 // WithCommittee sets the PBFT committee size.
 func WithCommittee(size int) Option { return func(c *Config) { c.CommitteeSize = size } }
@@ -370,24 +348,19 @@ func WithCommittee(size int) Option { return func(c *Config) { c.CommitteeSize =
 // WithMinerPopulation sets the sidechain miner count.
 func WithMinerPopulation(n int) Option { return func(c *Config) { c.MinerPopulation = n } }
 
-// WithPools selects the sharded multi-pool backend with n registered
-// pools.
+// WithPools registers n pools.
 func WithPools(n int) Option { return func(c *Config) { c.NumPools = n } }
 
 // WithShards sets the engine's worker-shard count.
 func WithShards(n int) Option { return func(c *Config) { c.NumShards = n } }
 
-// WithPipelineDepth bounds the multi-pool epoch pipeline's in-flight
-// window (1 disables pipelining).
+// WithPipelineDepth bounds the epoch pipeline's in-flight window (1
+// disables pipelining).
 func WithPipelineDepth(n int) Option { return func(c *Config) { c.PipelineDepth = n } }
 
 // WithUsers registers the deployment's known user set (required when
 // opening a durable node without a workload generator).
 func WithUsers(users []string) Option { return func(c *Config) { c.Users = users } }
-
-// WithRetainEpochs bounds per-epoch bookkeeping to the prune horizon
-// plus n epochs (0 retains everything).
-func WithRetainEpochs(n int) Option { return func(c *Config) { c.RetainEpochs = n } }
 
 // WithCompactEvery compacts the durable store every n confirmed epochs
 // (0 never compacts).
@@ -395,30 +368,6 @@ func WithCompactEvery(n int) Option { return func(c *Config) { c.CompactEvery = 
 
 // WithFaults installs the fault-injection plan.
 func WithFaults(f FaultPlan) Option { return func(c *Config) { c.Faults = f } }
-
-// WithConsensusFidelity selects model or live committee rounds.
-func WithConsensusFidelity(f ConsensusFidelity) Option {
-	return func(c *Config) { c.ConsensusFidelity = f }
-}
-
-// WithLiveFaultBudget sets f for the live committee (3f+2 replicas).
-func WithLiveFaultBudget(f int) Option { return func(c *Config) { c.LiveFaultBudget = f } }
-
-// WithLiveNet overrides the live committee's network fabric.
-func WithLiveNet(nc netsim.Config) Option { return func(c *Config) { c.LiveNet = nc } }
-
-// WithNetFaults installs a deterministic network fault schedule on the
-// live committee's fabric.
-func WithNetFaults(fs *netsim.FaultSchedule) Option { return func(c *Config) { c.NetFaults = fs } }
-
-// WithLiveRoundTimeout bounds one live round's simulated duration before
-// the node halts with ErrConsensusStalled.
-func WithLiveRoundTimeout(d time.Duration) Option {
-	return func(c *Config) { c.LiveRoundTimeout = d }
-}
-
-// WithMainchain overrides the layer-1 parameters.
-func WithMainchain(mc mainchain.Config) Option { return func(c *Config) { c.Mainchain = mc } }
 
 // WithModel overrides the PBFT cost model.
 func WithModel(m pbft.Model) Option { return func(c *Config) { c.Model = m } }
@@ -434,27 +383,7 @@ func WithTraceBuffer(epochs int) Option { return func(c *Config) { c.TraceBuffer
 // wall).
 func WithIngestCapacity(n int) Option { return func(c *Config) { c.IngestCapacity = n } }
 
-// WithIngestSoftMark sets the soft high-water mark above which whole
-// batches are shed with ErrThrottled (must be below the capacity to
-// have any effect).
-func WithIngestSoftMark(n int) Option { return func(c *Config) { c.IngestSoftMark = n } }
-
-// WithIngestMaxWait bounds how long a producer blocks on a full mempool
-// before ErrMempoolFull (wall-clock; negative disables blocking).
-func WithIngestMaxWait(d time.Duration) Option { return func(c *Config) { c.IngestMaxWait = d } }
-
-// WithIngestSegments sets the mempool segment count producers spread
-// their append contention across.
-func WithIngestSegments(n int) Option { return func(c *Config) { c.IngestSegments = n } }
-
-// WithArrivalLog records the canonical drain-boundary arrival order for
-// single-producer replay (invariant 13).
-func WithArrivalLog(l *ArrivalLog) Option { return func(c *Config) { c.ArrivalLog = l } }
-
-// Report is the unified run summary both backends return from Run.
-// Fields that only one backend produces are zero on the other
-// (MassSyncs/ViewChanges/SidechainUnpruned are single-pool;
-// NumPools/NumShards/SummaryRoots are multi-pool).
+// Report is the run summary Run returns.
 type Report struct {
 	Collector *metrics.Collector
 
@@ -496,10 +425,10 @@ type Report struct {
 	NetStats netsim.Stats
 
 	PositionsLive int
-	// SummaryRoots[epoch] is the folded multi-pool root per epoch.
+	// SummaryRoots[epoch] is the folded summary root per epoch.
 	SummaryRoots map[uint64][32]byte
 
-	// Pipeline telemetry (multi-pool backend). PipelineDepth echoes the
+	// Pipeline telemetry. PipelineDepth echoes the
 	// configured in-flight window; PipelineOccupancy is the mean number
 	// of commit/sync stages still in flight when each epoch sealed (0 for
 	// an unpipelined run, approaching PipelineDepth-1 when the commit

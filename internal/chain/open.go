@@ -21,9 +21,11 @@ var (
 	// original run, which is exactly what the fingerprint exists to
 	// prevent.
 	ErrStoreMismatch = errors.New("chain: durable store belongs to a different deployment")
-	// ErrStoreUnsupported rejects an Open on a configuration whose
-	// backend has no persistence (today: the single-pool System).
-	ErrStoreUnsupported = errors.New("chain: durable store requires the multi-pool backend")
+	// ErrStoreUnsupported rejects a store operation the node cannot
+	// serve: no node implementation registered, a compaction or export
+	// on a node without a store, or a federated open missing its shared
+	// runtime.
+	ErrStoreUnsupported = errors.New("chain: durable store unsupported")
 	// ErrStoreWrite halts a node whose durable store stopped accepting
 	// writes mid-run: continuing would silently void the recovery
 	// contract.
@@ -40,7 +42,7 @@ type RecoveryInfo struct {
 	// Epoch is the recovered boundary: every epoch <= Epoch was restored
 	// from the store; Run resumes at Epoch+1.
 	Epoch uint64
-	// SummaryRoots[e] is the persisted folded multi-pool root of epoch e.
+	// SummaryRoots[e] is the persisted folded summary root of epoch e.
 	SummaryRoots map[uint64][32]byte
 	// PayloadDigests[e] holds epoch e's per-pool sync payload digests in
 	// canonical pool order.

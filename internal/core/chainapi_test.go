@@ -13,36 +13,31 @@ import (
 	"ammboost/internal/workload"
 )
 
-// TestFactoryBackendSelection pins the documented NumPools contract:
-// core.New routes NumPools > 0 to the sharded MultiSystem and zero to
-// the single-pool System, and the single-pool constructor refuses a
-// multi-pool config instead of silently dropping the pools.
+// TestFactoryBackendSelection pins the one-backend contract: core.New
+// and NewDriver build the same node type at every pool count, an unset
+// pool count is the paper's single pool, and a driver deployment routes
+// its traffic to the default pool.
 func TestFactoryBackendSelection(t *testing.T) {
 	users := []string{"u-0", "u-1"}
-	single, err := New(chain.NewConfig(chain.WithCommittee(8), chain.WithMinerPopulation(20)), users, nil)
+	for _, pools := range []int{0, 1, 4} {
+		node, err := New(chain.NewConfig(chain.WithPools(pools), chain.WithCommittee(8), chain.WithMinerPopulation(20)), users)
+		if err != nil {
+			t.Fatalf("pools=%d: %v", pools, err)
+		}
+		if _, ok := node.(*MultiSystem); !ok {
+			t.Fatalf("pools=%d built %T, want *MultiSystem", pools, node)
+		}
+		want := max(pools, 1)
+		if got := len(node.PoolIDs()); got != want {
+			t.Errorf("pools=%d: node has %d pools, want %d", pools, got, want)
+		}
+	}
+	drv, _, err := NewDriver(smallConfig(27), smallDriver(500_000, 1, 27))
 	if err != nil {
-		t.Fatalf("single-pool factory: %v", err)
+		t.Fatal(err)
 	}
-	if _, ok := single.(*System); !ok {
-		t.Fatalf("NumPools=0 built %T, want *System", single)
-	}
-	multi, err := New(chain.NewConfig(chain.WithPools(4), chain.WithCommittee(8), chain.WithMinerPopulation(20)), users, nil)
-	if err != nil {
-		t.Fatalf("multi-pool factory: %v", err)
-	}
-	if _, ok := multi.(*MultiSystem); !ok {
-		t.Fatalf("NumPools=4 built %T, want *MultiSystem", multi)
-	}
-	if got := len(multi.PoolIDs()); got != 4 {
-		t.Errorf("multi backend has %d pools, want 4", got)
-	}
-	cfg := smallConfig(27)
-	cfg.NumPools = 4
-	if _, err := NewSystem(cfg, users, nil); !errors.Is(err, ErrBackendMismatch) {
-		t.Errorf("NewSystem with NumPools=4: err = %v, want ErrBackendMismatch", err)
-	}
-	if _, _, err := NewDriver(cfg, smallDriver(500_000, 1, 27)); !errors.Is(err, ErrBackendMismatch) {
-		t.Errorf("NewDriver with NumPools=4: err = %v, want ErrBackendMismatch", err)
+	if got := drv.PoolIDs(); len(got) != 1 {
+		t.Errorf("driver deployment has pools %v, want one", got)
 	}
 }
 
@@ -235,7 +230,7 @@ func TestReceiptLifecycle(t *testing.T) {
 
 // TestSyncRevertSurfacesTypedError pins the replacement of the former
 // panic: a committee that signs a corrupted digest gets its Sync
-// reverted by TokenBank's TSQC verification, and Run returns
+// reverted by the bank's TSQC verification, and Run returns
 // chain.ErrSyncReverted instead of crashing. Receipts of the corrupted
 // epoch stall at Checkpointed — executed and checkpointed on the
 // sidechain, never synced to the mainchain.
@@ -291,7 +286,7 @@ func TestEventStream(t *testing.T) {
 	// Visibility contract: by the time a lifecycle event publishes, the
 	// covered receipts already show the corresponding stage. Hooks run
 	// synchronously on the simulator goroutine, so this is race-free.
-	inner := sys.(*System)
+	inner := sys.(*MultiSystem)
 	inner.bus.OnPublish(func(ev chain.Event) {
 		switch ev.Type {
 		case chain.EventSyncConfirmed:
@@ -385,18 +380,14 @@ func TestDriverSkipsAheadFundingInShortRuns(t *testing.T) {
 	if _, n := repOne.Collector.AvgGas("approve"); n != 0 {
 		t.Errorf("1-epoch run observed %d approvals, want 0", n)
 	}
-	bank := one.(*System).Bank()
-	for e := uint64(2); e <= 4; e++ {
-		if len(bank.Deposits[e]) != 0 {
-			t.Errorf("1-epoch run funded epoch-%d deposits for %d users", e, len(bank.Deposits[e]))
-		}
+	if n := len(one.(*MultiSystem).pendingDeposits); n != 0 {
+		t.Errorf("1-epoch run left %d deposits queued for later epochs", n)
 	}
 	if err := one.Validate(); err != nil {
 		t.Errorf("1-epoch invariants: %v", err)
 	}
-	// Documented tradeoff: the arrival tail that structurally spills into
-	// drain epoch 2 is rejected there (no deposits) instead of being
-	// executed on the back of full-size speculative funding. The
+	// The arrival tail that structurally spills into drain epoch 2 runs
+	// on on-demand funding instead of full-size speculative deposits;
 	// rejections stay bounded by roughly one round of arrivals.
 	drv := workload.Rho(500_000, 7)
 	if repOne.Rejected > 3*drv {
@@ -420,25 +411,32 @@ func TestDriverSkipsAheadFundingInShortRuns(t *testing.T) {
 	}
 }
 
-// TestDepositReceipt pins the deposit flow's receipt treatment: Pending
-// until the final mainchain leg confirms, then Synced with timestamps.
+// TestDepositReceipt pins the mainchain deposit flow's receipt
+// treatment: Pending until the final leg confirms, then Synced with
+// timestamps, the tokens in custody and the credit queued for its epoch;
+// the flow's gas and latency land under the Table II labels.
 func TestDepositReceipt(t *testing.T) {
 	sys, _, err := NewDriver(smallConfig(26), smallDriver(500_000, 2, 26))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ms := sys.(*MultiSystem)
+	// Target an epoch the run never reaches, so the credit stays queued
+	// where the test can see it.
+	const target = 9
 	var rc *chain.Receipt
 	sys.Sim().At(time.Second, func() {
 		var derr error
-		rc, derr = sys.SubmitDeposit("user-001", 2, u256.FromUint64(500), u256.FromUint64(500))
+		rc, derr = ms.depositFlow("user-001", target, u256.FromUint64(500), u256.FromUint64(500))
 		if derr != nil {
-			t.Errorf("SubmitDeposit: %v", derr)
+			t.Errorf("depositFlow: %v", derr)
 		}
 		if rc.Status != chain.StatusPending {
 			t.Errorf("fresh deposit receipt = %s, want pending", rc.Status)
 		}
 	})
-	if _, err := sys.Run(2); err != nil {
+	rep, err := sys.Run(2)
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if rc == nil {
@@ -450,11 +448,37 @@ func TestDepositReceipt(t *testing.T) {
 	if rc.SyncedAt <= rc.SubmittedAt {
 		t.Errorf("deposit synced at %s, submitted at %s", rc.SyncedAt, rc.SubmittedAt)
 	}
-	// Malformed and unfunded deposits are refused up front.
-	if _, err := sys.SubmitDeposit("user-001", 3, u256.Int{}, u256.Int{}); !errors.Is(err, chain.ErrMalformedTx) {
-		t.Errorf("empty deposit err = %v, want ErrMalformedTx", err)
+	queued := false
+	for _, pd := range ms.pendingDeposits {
+		if pd.user == "user-001" && pd.epoch == target && pd.paper && pd.amount0.Eq(u256.FromUint64(500)) {
+			queued = true
+		}
 	}
-	if _, err := sys.SubmitDeposit("stranger", 3, u256.FromUint64(1), u256.FromUint64(1)); !errors.Is(err, chain.ErrUnfundedUser) {
-		t.Errorf("stranger deposit err = %v, want ErrUnfundedUser", err)
+	if !queued {
+		t.Errorf("confirmed deposit was not queued for epoch %d's credit", target)
+	}
+	// The unspent deposit sits in custody on top of the pool reserves.
+	have0, _ := ms.bank.Custody()
+	want0, _ := ms.bank.TotalReserves()
+	if have0.Lt(u256.Add(want0, u256.FromUint64(500))) {
+		t.Errorf("custody %s, want >= reserves %s + the 500 deposit", have0, want0)
+	}
+	if _, n := rep.Collector.AvgGas("approve"); n == 0 {
+		t.Error("first-time flow observed no approvals")
+	}
+	if _, n := rep.Collector.AvgMCLatency("deposit-first"); n == 0 {
+		t.Error("first-time flow observed no deposit-first latency")
+	}
+	// Malformed and unfunded deposits are refused up front on both the
+	// flow and the direct-credit API.
+	for name, submit := range map[string]func(string, uint64, u256.Int, u256.Int) (*chain.Receipt, error){
+		"depositFlow": ms.depositFlow, "SubmitDeposit": sys.SubmitDeposit,
+	} {
+		if _, err := submit("user-001", 3, u256.Int{}, u256.Int{}); !errors.Is(err, chain.ErrMalformedTx) {
+			t.Errorf("%s: empty deposit err = %v, want ErrMalformedTx", name, err)
+		}
+		if _, err := submit("stranger", 3, u256.FromUint64(1), u256.FromUint64(1)); !errors.Is(err, chain.ErrUnfundedUser) {
+			t.Errorf("%s: stranger deposit err = %v, want ErrUnfundedUser", name, err)
+		}
 	}
 }

@@ -5,27 +5,22 @@ import (
 	"testing"
 
 	"ammboost/internal/chain"
-	"ammboost/internal/workload"
 )
 
-// TestClaimSurfaceSinglePool pins the chain.Chain escrow surface on the
-// single-pool backend: never federated, so the claimable balance is
-// always zero and ClaimRefund answers ErrNoEscrow.
+// TestClaimSurfaceSinglePool pins the chain.Chain escrow surface on a
+// single-tenant paper deployment: never federated, so the claimable
+// balance is always zero and ClaimRefund answers ErrNoEscrow.
 func TestClaimSurfaceSinglePool(t *testing.T) {
-	gen := workload.New(workload.DefaultConfig(1))
-	lps := map[string]bool{}
-	for _, lp := range gen.LPs() {
-		lps[lp] = true
-	}
-	sys, err := NewSystem(smallConfig(1), gen.Users(), lps)
+	sys, _, err := NewDriver(smallConfig(1), smallDriver(500_000, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	if a0, a1 := sys.Claimable(gen.Users()[0]); !a0.IsZero() || !a1.IsZero() {
+	user := sys.(*MultiSystem).users[0]
+	if a0, a1 := sys.Claimable(user); !a0.IsZero() || !a1.IsZero() {
 		t.Errorf("claimable = %s/%s, want zero", a0, a1)
 	}
-	if _, err := sys.ClaimRefund(gen.Users()[0]); !errors.Is(err, chain.ErrNoEscrow) {
+	if _, err := sys.ClaimRefund(user); !errors.Is(err, chain.ErrNoEscrow) {
 		t.Errorf("ClaimRefund = %v, want ErrNoEscrow", err)
 	}
 }

@@ -10,18 +10,19 @@ import (
 	"ammboost/internal/workload"
 )
 
-// DriverConfig wires a workload onto a System: the daily transaction
-// volume sets the constant arrival rate ρ = ⌈V_D·bt/86400⌉ per round
-// (Section VI-A), and deposits are funded one epoch ahead.
+// DriverConfig wires the paper's workload onto a node: the daily
+// transaction volume sets the constant arrival rate ρ = ⌈V_D·bt/86400⌉
+// per round (Section VI-A), and deposits are funded two epochs ahead
+// through the mainchain deposit flow.
 type DriverConfig struct {
 	DailyVolume int
 	Epochs      int
 	Workload    workload.Config
 }
 
-// Driver generates traffic against a System.
+// Driver generates the paper's single-pool traffic against a node.
 type Driver struct {
-	sys *System
+	sys *MultiSystem
 	gen *workload.Generator
 	cfg DriverConfig
 	rho int
@@ -31,16 +32,17 @@ type Driver struct {
 	Submitted int
 }
 
-// NewDriver builds the system and its workload driver together, seeding
-// epoch-1 deposits at genesis. The node is returned behind the unified
-// chain.Chain API.
+// NewDriver builds the node and its workload driver together, seeding
+// epoch-1 deposits at genesis. Its traffic routes to the default pool, so
+// the paper's deployment is sysCfg with NumPools left at 1. The node runs
+// the paper's serial lifecycle (PipelineDepth 1): each epoch's sync goes
+// out as soon as its summary is agreed, where a deeper pipeline would
+// hold it behind the next epoch's execution and add an epoch to every
+// payout. The node is returned behind the unified chain.Chain API.
 func NewDriver(sysCfg chain.Config, drvCfg DriverConfig) (chain.Chain, *Driver, error) {
+	sysCfg.PipelineDepth = 1
 	gen := workload.New(drvCfg.Workload)
-	lps := make(map[string]bool)
-	for _, lp := range gen.LPs() {
-		lps[lp] = true
-	}
-	sys, err := NewSystem(sysCfg, gen.Users(), lps)
+	sys, err := NewMultiSystem(sysCfg, gen.Users())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -59,7 +61,7 @@ func NewDriver(sysCfg chain.Config, drvCfg DriverConfig) (chain.Chain, *Driver, 
 	// that never runs would waste mainchain gas.
 	for _, u := range gen.Users() {
 		a0, a1 := d.depositAmounts(u)
-		if err := sys.GenesisDeposit(u, a0, a1); err != nil {
+		if err := sys.seedDeposit(u, a0, a1); err != nil {
 			return nil, nil, fmt.Errorf("core: genesis deposit for %s: %w", u, err)
 		}
 	}
@@ -109,7 +111,7 @@ func (d *Driver) fundThrough(target uint64) {
 	for e := d.fundedThrough + 1; e <= target; e++ {
 		for _, u := range d.gen.Users() {
 			a0, a1 := d.depositAmounts(u)
-			d.sys.SubmitDeposit(u, e, a0, a1)
+			d.sys.depositFlow(u, e, a0, a1)
 		}
 	}
 	if target > d.fundedThrough {
@@ -127,13 +129,11 @@ func (d *Driver) fundThrough(target uint64) {
 // deposits for epochs that never execute — pure mainchain gas waste,
 // worst in 1-epoch runs.)
 //
-// Deliberate tradeoff for Epochs == 1: the gate means no epoch is ever
-// funded beyond the genesis deposits, so the ~one round of arrivals
-// that structurally spills into drain epoch 2 is rejected for lack of
-// deposits there. Funding every user's full epoch-sized deposit
-// (4 mainchain txs each, first time) to execute that small tail is the
-// exact waste the gate removes; the rejections are honest and visible
-// in Report.Rejected.
+// For Epochs == 1 the gate means no epoch is ever funded beyond the
+// genesis deposits, so the ~one round of arrivals that structurally
+// spills into drain epoch 2 runs on the node's on-demand funding instead
+// of full epoch-sized deposits (4 mainchain txs per user, first time) —
+// the exact waste the gate removes.
 func (d *Driver) onEpochStart(epoch uint64) {
 	// pendingTxs counts the ingest pool too: OnEpochStart fires before
 	// the first round's drain, so backlog may still sit in the pool.

@@ -6,6 +6,8 @@ import (
 
 	"ammboost/internal/chain"
 	"ammboost/internal/gasmodel"
+	"ammboost/internal/mainchain"
+	"ammboost/internal/u256"
 	"ammboost/internal/workload"
 )
 
@@ -264,24 +266,31 @@ func TestGasAccounting(t *testing.T) {
 	}
 }
 
+// TestFlashLoansStayOnMainchain: a flash loan executes against the
+// bank's custody in one mainchain transaction while the sidechain runs
+// (the paper keeps flash loans on the mainchain); the borrower repays
+// principal plus fee, the fee stays in custody, and the cross-layer
+// invariants still hold after the run.
 func TestFlashLoansStayOnMainchain(t *testing.T) {
-	// Flash loans execute against TokenBank in a single mainchain
-	// transaction while the sidechain runs.
 	sys, _, err := NewDriver(smallConfig(10), smallDriver(500_000, 2, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Queue a flash loan after the first sync lands (pool reserves known).
+	ms := sys.(*MultiSystem)
+	pid := ms.PoolIDs()[0]
+	var flash *mainchain.Tx
+	var borrowed, fee u256.Int
 	sys.Sim().After(60*time.Second, func() {
-		bank := sys.(*System).Bank()
-		amount := bank.PoolReserve0
-		if amount.IsZero() {
-			t.Error("pool reserve should be nonzero")
-			return
+		borrowed = u256.Div(ms.bank.Reserves[pid].Reserve0, u256.FromUint64(100))
+		fee = u256.DivRoundingUp(u256.Mul(borrowed, u256.FromUint64(3000)), u256.FromUint64(1_000_000))
+		token0, _ := tokenPair(ms.mc)
+		if err := token0.Ledger.Mint(mainchain.Faucet, "arbitrageur", fee); err != nil {
+			t.Error(err)
 		}
-		// borrow 1% and repay with fee
-		// (closure executes within contract execution).
-		_ = amount
+		flash = &mainchain.Tx{ID: "flash-1", From: "arbitrageur", To: ms.bank.Name(), Method: "flash", Size: 200,
+			Args: mainchain.FlashArgs{PoolID: pid, Amount0: borrowed,
+				Callback: func(a0, a1 u256.Int) (u256.Int, u256.Int) { return u256.Add(a0, fee), a1 }}}
+		ms.mc.Submit(flash)
 	})
 	rep, runErr := sys.Run(2)
 	if runErr != nil {
@@ -289,5 +298,18 @@ func TestFlashLoansStayOnMainchain(t *testing.T) {
 	}
 	if rep.SyncsOK == 0 {
 		t.Fatal("no syncs")
+	}
+	if flash == nil || flash.Status != mainchain.TxConfirmed {
+		t.Fatalf("flash loan did not confirm: %+v", flash)
+	}
+	if borrowed.IsZero() || fee.IsZero() || flash.GasUsed == 0 {
+		t.Errorf("flash borrowed %s for fee %s at %d gas", borrowed, fee, flash.GasUsed)
+	}
+	token0, _ := tokenPair(ms.mc)
+	if got := token0.Ledger.BalanceOf("arbitrageur"); !got.IsZero() {
+		t.Errorf("arbitrageur kept %s: the fee was not paid", got)
+	}
+	if err := sys.Validate(); err != nil {
+		t.Errorf("invariants after a flash loan: %v", err)
 	}
 }

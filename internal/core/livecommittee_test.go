@@ -70,7 +70,7 @@ func TestLiveCommitteeEpoch(t *testing.T) {
 		t.Fatal("no summary block")
 	}
 	// The TSQC signature over the payload verifies under the committee
-	// key — exactly what TokenBank checks.
+	// key — exactly what the bank checks.
 	digest := lc.Payload().Digest()
 	if err := tsig.Verify(lc.GroupKey, digest[:], lc.SyncSig); err != nil {
 		t.Errorf("sync signature invalid: %v", err)

@@ -1,7 +1,22 @@
+// Package core orchestrates the full ammBoost system (Fig. 1): the
+// mainchain hosting the bank and the ERC20 pair, the PBFT sidechain with
+// per-epoch VRF-elected committees, the sharded execution engine, the
+// epoch lifecycle (SnapshotBank → meta-block rounds → summary-blocks →
+// TSQC-authenticated Sync → pruning), epoch-based deposits, delayed token
+// payouts, and the interruption recovery paths (leader view change,
+// mass-sync after skipped or rolled-back syncs).
+//
+// MultiSystem is the one lifecycle backend. The paper's single Uniswap
+// pool is a deployment with NumPools = 1; it implements the unified
+// chain.Chain node API: submissions return receipts that advance through
+// the epoch lifecycle, lifecycle faults surface as typed errors out of
+// Run, and every stage publishes chain.Events.
 package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -10,6 +25,7 @@ import (
 	"time"
 
 	"ammboost/internal/chain"
+	"ammboost/internal/crypto/tsig"
 	"ammboost/internal/engine"
 	"ammboost/internal/gasmodel"
 	"ammboost/internal/ingest"
@@ -27,18 +43,45 @@ import (
 	"ammboost/internal/workload"
 )
 
-// ErrMultiParity flags a cross-layer mismatch in a multi-pool deployment.
+// ErrMultiParity flags a cross-layer mismatch: bank and engine disagree
+// on a pool, or custody no longer covers the stored reserves.
 var ErrMultiParity = errors.New("core: multi-pool state parity violated")
 
-// ErrUnsupportedFault rejects a FaultPlan field the multi-pool backend
-// does not implement (see chain.FaultPlan for per-field support).
-var ErrUnsupportedFault = errors.New("core: fault plan not supported by the multi-pool backend")
+// ErrUnsupportedFault rejects a FaultPlan field the configured consensus
+// fidelity cannot represent (see chain.FaultPlan).
+var ErrUnsupportedFault = errors.New("core: fault plan not supported by the consensus fidelity")
+
+// committeeKeys is the TSQC key material for one epoch's committee. For
+// experiment-scale committees the shares come from a dealer (see DESIGN.md
+// on the DKG substitution); the pbft functional tests run the full joint
+// DKG.
+type committeeKeys struct {
+	committee *election.Committee
+	shares    []tsig.Share
+	group     tsig.GroupKey
+	threshold int
+}
+
+// txRecord tracks one sidechain transaction through its lifecycle,
+// pairing the transaction with its client-facing receipt.
+type txRecord struct {
+	tx      *summary.Tx
+	rc      *chain.Receipt
+	minedAt time.Duration
+	epoch   uint64
+}
+
+// queuedTx is a queue entry: the transaction plus the receipt Submit
+// handed out for it.
+type queuedTx struct {
+	tx *summary.Tx
+	rc *chain.Receipt
+}
 
 // MultiSystem runs the full ammBoost epoch lifecycle across every pool
 // registered in the sharded engine: one committee, one meta-block chain,
 // and one Sync per epoch span all pools; the Sync carries per-pool
-// payloads plus the folded summary root the committee signs. It
-// implements the same chain.Chain node API as the single-pool System.
+// payloads plus the folded summary root the committee signs.
 type MultiSystem struct {
 	cfg chain.Config
 	sim *sim.Simulator
@@ -86,9 +129,16 @@ type MultiSystem struct {
 	poolSet   map[string]bool
 	// funded[poolID][user] marks (user, pool) pairs deposited this epoch.
 	funded map[string]map[string]bool
-	// pendingDeposits holds explicit SubmitDeposit credits that arrived
-	// between epochs; they apply at the next BeginEpoch.
+	// pendingDeposits holds deposit credits for epochs that have not
+	// opened yet; they apply at their epoch's BeginEpoch.
 	pendingDeposits []pendingDeposit
+	// approved marks users who granted the bank ERC20 allowances (their
+	// later deposit flows skip the approvals).
+	approved map[string]bool
+	// held are signed sync packages of epochs whose sync was lost (a
+	// skipped or rolled-back submission); they go out ahead of the next
+	// epoch's parts — the paper's mass-sync recovery.
+	held []heldSync
 
 	epoch         uint64
 	epochsPlanned int
@@ -143,6 +193,7 @@ type MultiSystem struct {
 	// SummaryRoots records each epoch's folded multi-pool root.
 	SummaryRoots map[uint64][32]byte
 	SyncsOK      int
+	MassSyncs    int
 	Rejected     int
 	ViewChanges  int
 
@@ -161,15 +212,27 @@ type MultiSystem struct {
 	claimSeq int
 }
 
-// pendingDeposit is a user's explicit deposit awaiting its target epoch
-// (or, for a deposit submitted between epochs, the next BeginEpoch).
+// pendingDeposit is a user's deposit awaiting its target epoch (or, for
+// a deposit submitted between epochs, the next BeginEpoch).
 type pendingDeposit struct {
 	epoch   uint64
 	poolID  string
 	user    string
 	amount0 u256.Int
 	amount1 u256.Int
-	rc      *chain.Receipt
+	// rc advances to Executed when the credit lands (nil for the paper
+	// flow, whose receipt finalizes on the mainchain).
+	rc *chain.Receipt
+	// paper marks the paper's epoch deposit: its tokens already sit in
+	// custody, and it replaces the pair's on-demand funding for the epoch.
+	paper bool
+}
+
+// heldSync is one epoch's signed sync package awaiting mass-sync.
+type heldSync struct {
+	epoch uint64
+	parts []*mainchain.MultiSyncArgs
+	sizes []int
 }
 
 // MultiSystem implements the unified node API.
@@ -210,13 +273,6 @@ func NewFederatedSystem(shared *Shared, cfg chain.Config, users []string) (*Mult
 }
 
 func newMultiSystem(shared *Shared, cfg chain.Config, users []string) (*MultiSystem, error) {
-	// The multi-pool backend supports silent-leader and corrupted-sync
-	// faults; the skip/reorg mass-sync recovery chain is single-pool
-	// only — reject it loudly rather than silently testing nothing.
-	if len(cfg.Faults.SkipSyncEpochs) > 0 || len(cfg.Faults.ReorgSyncEpochs) > 0 {
-		return nil, fmt.Errorf("%w: SkipSyncEpochs/ReorgSyncEpochs (mass-sync recovery) are single-pool only",
-			ErrUnsupportedFault)
-	}
 	cfg = cfg.WithDefaults()
 	if cfg.ConsensusFidelity != chain.FidelityLive {
 		// Per-replica byzantine behaviors and message-level network faults
@@ -242,12 +298,6 @@ func newMultiSystem(shared *Shared, cfg chain.Config, users []string) (*MultiSys
 		// depth-invariant anyway, so clamping loses nothing observable.
 		cfg.PipelineDepth = 1
 	}
-	// An explicit NewMultiSystem call with an unset pool count runs the
-	// engine at its minimum; the core.New factory would have routed a
-	// zero-pool config to the single-pool backend instead.
-	if cfg.NumPools == 0 {
-		cfg.NumPools = 1
-	}
 	cfg.Tracer.SetRetention(cfg.TraceBuffer)
 	eng, err := engine.New(engine.Config{
 		Seed:             cfg.Seed,
@@ -272,6 +322,7 @@ func newMultiSystem(shared *Shared, cfg chain.Config, users []string) (*MultiSys
 		col:          metrics.New(),
 		bus:          chain.NewBus(),
 		recsByEpoch:  make(map[uint64][]*txRecord),
+		approved:     make(map[string]bool),
 		tr:           cfg.Tracer,
 		SummaryRoots: make(map[uint64][32]byte),
 	}
@@ -312,9 +363,22 @@ func newMultiSystem(shared *Shared, cfg chain.Config, users []string) (*MultiSys
 	if shared == nil {
 		s.mc = mainchain.New(s.sim, cfg.Mainchain)
 	}
-	s.bank = mainchain.NewMultiBank(eng.PoolIDs(), ck.group).
+	token0, token1 := tokenPair(s.mc)
+	s.bank = mainchain.NewMultiBank(token0, token1, ck.group).
 		WithAddress(mainchain.BankAddressFor(cfg.ChainID))
+	s.bank.FeePips = cfg.FeePips
 	s.bank.Retain = cfg.RetainEpochs
+	// Genesis liquidity: every pool's full-range seed position and the
+	// reserves backing it are on the bank from deployment.
+	for _, pid := range eng.PoolIDs() {
+		p := eng.Pool(pid)
+		g := p.Position(engine.GenesisPositionID(pid))
+		genesis := summary.PositionEntry{ID: g.ID, Owner: g.Owner,
+			TickLower: g.TickLower, TickUpper: g.TickUpper, Liquidity: g.Liquidity}
+		if err := s.bank.RegisterPool(pid, p.Reserve0, p.Reserve1, genesis); err != nil {
+			return nil, err
+		}
+	}
 	s.mc.Deploy(s.bank)
 	if cfg.RetainEpochs > 0 && shared == nil {
 		// Bound the simulated mainchain's in-memory history to the same
@@ -347,6 +411,73 @@ func newMultiSystem(shared *Shared, cfg chain.Config, users []string) (*MultiSys
 		s.live = newLiveConsensus(s)
 	}
 	return s, nil
+}
+
+// tokenPair deploys the pools' ERC20 pair on the mainchain, or
+// returns the pair already there: federation members share one chain
+// and one pair, each bank holding its custody at its own account.
+func tokenPair(mc *mainchain.Chain) (token0, token1 *mainchain.ERC20) {
+	pair := [2]*mainchain.ERC20{}
+	for i, sym := range []string{"A", "B"} {
+		if tok, ok := mc.ContractByName(sym).(*mainchain.ERC20); ok {
+			pair[i] = tok
+			continue
+		}
+		pair[i] = mainchain.NewERC20(sym, mainchain.Faucet)
+		mc.Deploy(pair[i])
+	}
+	return pair[0], pair[1]
+}
+
+// committeeRNG derives epoch e's key-dealing randomness from
+// (chainSeed, epoch) alone, the same construction the live DKG uses for
+// its per-replica polynomials (see liveconsensus.go): every committee's
+// key material is a pure function of the run seed and its epoch number,
+// independent of how many committees were provisioned before it. That
+// independence is what lets a checkpoint-based restore provision only
+// the boundary committee in O(1) instead of replaying every election
+// since genesis just to advance a shared rng stream.
+func committeeRNG(chainSeed [32]byte, epoch uint64) *rand.Rand {
+	h := sha256.New()
+	h.Write(chainSeed[:])
+	var eb [8]byte
+	binary.BigEndian.PutUint64(eb[:], epoch)
+	h.Write(eb[:])
+	var d [32]byte
+	h.Sum(d[:0])
+	return rand.New(rand.NewSource(int64(binary.BigEndian.Uint64(d[:8]))))
+}
+
+// provisionCommittee elects an epoch committee from the registry and
+// deals its TSQC key material. The dealing randomness derives from
+// (chainSeed, epoch), so any epoch's committee can be re-provisioned in
+// isolation.
+func provisionCommittee(reg *election.Registry, chainSeed [32]byte, epoch uint64, size int) (*committeeKeys, error) {
+	com, err := election.Elect(reg, chainSeed, epoch, size)
+	if err != nil {
+		return nil, err
+	}
+	f := pbft.FaultBudget(size)
+	_, threshold := pbft.Quorum(f)
+	if threshold > size {
+		threshold = size
+	}
+	dealing, err := tsig.Deal(committeeRNG(chainSeed, epoch), threshold, size)
+	if err != nil {
+		return nil, err
+	}
+	group := tsig.GroupKey{PK: dealing.Commitments[0], Threshold: threshold, N: size}
+	return &committeeKeys{committee: com, shares: dealing.Shares, group: group, threshold: threshold}, nil
+}
+
+// signDigest produces the committee's TSQC signature over a sync part's
+// digest.
+func (ck *committeeKeys) signDigest(digest [32]byte) (tsig.Point, error) {
+	partials := make([]tsig.PartialSig, ck.threshold)
+	for i := 0; i < ck.threshold; i++ {
+		partials[i] = tsig.PartialSign(ck.shares[i], digest[:])
+	}
+	return tsig.Combine(ck.group, partials)
 }
 
 // Engine exposes the sharded execution engine.
@@ -701,40 +832,187 @@ func (s *MultiSystem) observeShardStats(e uint64, stats []engine.ShardStat) {
 }
 
 // SubmitDeposit credits a user's deposit on the default pool for the
-// named epoch (multi-pool deployments fund (user, pool) pairs on
-// demand; an explicit deposit models a user topping up ahead of
-// trading). A deposit for the current or a past epoch is credited to the
-// running snapshot immediately — mirroring the single-pool backend's
-// mid-epoch delta sync — while a future epoch's deposit is held and
-// credited when that epoch opens. The receipt reaches StatusExecuted
-// when the credit lands.
+// named epoch (deployments fund (user, pool) pairs on demand; an explicit
+// deposit models a user topping up ahead of trading, and is how the
+// federation re-credits escrowed funds). The tokens reach custody without
+// a mainchain transaction. A deposit for the current or a past epoch is
+// credited to the running snapshot immediately, while a future epoch's
+// deposit is held and credited when that epoch opens. The receipt
+// reaches StatusExecuted when the credit lands.
 func (s *MultiSystem) SubmitDeposit(user string, epoch uint64, amount0, amount1 u256.Int) (*chain.Receipt, error) {
-	if s.err != nil {
-		return nil, chain.ErrHalted
-	}
-	if !s.userSet[user] {
-		return nil, fmt.Errorf("%w: %s", chain.ErrUnfundedUser, user)
-	}
-	if amount0.IsZero() && amount1.IsZero() {
-		return nil, fmt.Errorf("%w: empty deposit", chain.ErrMalformedTx)
+	if err := s.checkDeposit(user, amount0, amount1); err != nil {
+		return nil, err
 	}
 	pid := s.eng.PoolIDs()[0]
 	rc := &chain.Receipt{
 		TxID: fmt.Sprintf("dep-%s-e%d", user, epoch), PoolID: pid,
 		Status: chain.StatusPending, SubmittedAt: s.sim.Now(),
 	}
-	if epoch <= s.epoch {
-		if err := s.eng.AddDeposit(pid, user, amount0, amount1); err == nil {
-			rc.Status = chain.StatusExecuted
-			rc.Epoch = s.epoch
-			rc.ExecutedAt = s.sim.Now()
-			return rc, nil
+	s.creditDeposit(pendingDeposit{epoch: epoch, poolID: pid, user: user, amount0: amount0, amount1: amount1, rc: rc})
+	return rc, nil
+}
+
+// checkDeposit validates a deposit request up front.
+func (s *MultiSystem) checkDeposit(user string, amount0, amount1 u256.Int) error {
+	if s.err != nil {
+		return chain.ErrHalted
+	}
+	if !s.userSet[user] {
+		return fmt.Errorf("%w: %s", chain.ErrUnfundedUser, user)
+	}
+	if amount0.IsZero() && amount1.IsZero() {
+		return fmt.Errorf("%w: empty deposit", chain.ErrMalformedTx)
+	}
+	return nil
+}
+
+// creditDeposit applies a deposit to the running epoch when its target
+// epoch has opened, and holds it for its epoch's BeginEpoch otherwise.
+func (s *MultiSystem) creditDeposit(pd pendingDeposit) {
+	if pd.epoch > s.epoch || !s.applyDeposit(pd, s.epoch) {
+		// Future epoch, or between epochs: credit at the next BeginEpoch
+		// that reaches the target.
+		s.pendingDeposits = append(s.pendingDeposits, pd)
+	}
+}
+
+// applyDeposit credits a deposit to epoch e's snapshot; false when no
+// epoch is open to take it. Deposits outside the paper flow move their
+// tokens into custody as they land; the paper flow's legs already did,
+// and its (user, pool) pair needs no on-demand funding this epoch.
+func (s *MultiSystem) applyDeposit(pd pendingDeposit, e uint64) bool {
+	if err := s.eng.AddDeposit(pd.poolID, pd.user, pd.amount0, pd.amount1); err != nil {
+		if errors.Is(err, engine.ErrNoEpoch) {
+			return false
 		}
-		// Between epochs: fall through and credit at the next BeginEpoch.
+		if pd.rc != nil {
+			pd.rc.Status = chain.StatusRejected
+			pd.rc.Err = err
+		}
+		return true
+	}
+	if pd.paper {
+		s.markFunded(pd.poolID, pd.user)
+	} else if err := s.bank.Fund(pd.amount0, pd.amount1); err != nil {
+		s.fail(fmt.Errorf("%w: fund custody: %v", chain.ErrEngineFailed, err))
+	}
+	if pd.rc != nil {
+		pd.rc.Status = chain.StatusExecuted
+		pd.rc.Epoch = e
+		pd.rc.ExecutedAt = s.sim.Now()
+	}
+	return true
+}
+
+// markFunded records that (user, pool) holds a deposit this epoch; it
+// reports whether the pair was already funded.
+func (s *MultiSystem) markFunded(pid, user string) bool {
+	bucket := s.funded[pid]
+	if bucket == nil {
+		bucket = make(map[string]bool)
+		s.funded[pid] = bucket
+	}
+	if bucket[user] {
+		return true
+	}
+	bucket[user] = true
+	return false
+}
+
+// seedDeposit funds a user's epoch-1 deposit on the default pool at
+// genesis, before the chain produces blocks: the tokens move into
+// custody without transactions (the steady-state flow is depositFlow).
+func (s *MultiSystem) seedDeposit(user string, amount0, amount1 u256.Int) error {
+	if s.sim.Now() != 0 || s.epoch != 0 {
+		return errors.New("core: genesis deposit after the chain started")
+	}
+	if err := s.checkDeposit(user, amount0, amount1); err != nil {
+		return err
+	}
+	if err := s.bank.Fund(amount0, amount1); err != nil {
+		return err
 	}
 	s.pendingDeposits = append(s.pendingDeposits, pendingDeposit{
-		epoch: epoch, poolID: pid, user: user, amount0: amount0, amount1: amount1, rc: rc,
+		epoch: 1, poolID: s.eng.PoolIDs()[0], user: user, amount0: amount0, amount1: amount1, paper: true,
 	})
+	return nil
+}
+
+// depositFlow runs the paper's mainchain deposit flow for a user's epoch
+// deposit on the default pool. A first-time depositor runs the full
+// four-transaction chain (approve A → approve B → deposit A → deposit B,
+// sequentially dependent — the pattern behind the paper's ~4-block
+// deposit latency); the approvals grant a max allowance once, as wallets
+// commonly do, so later epochs need only the two deposit legs. The
+// user's wallet holds the deposited tokens (minted by the faucet). When
+// the last leg confirms the deposit is credited — the sidechain observes
+// the bank — and the returned receipt jumps Pending → Synced: mainchain
+// confirmation is a deposit's finality.
+func (s *MultiSystem) depositFlow(user string, epoch uint64, amount0, amount1 u256.Int) (*chain.Receipt, error) {
+	if err := s.checkDeposit(user, amount0, amount1); err != nil {
+		return nil, err
+	}
+	bankAddr := s.bank.Name()
+	t0, t1 := tokenPair(s.mc)
+	if err := t0.Ledger.Mint(mainchain.Faucet, user, amount0); err != nil {
+		return nil, err
+	}
+	if err := t1.Ledger.Mint(mainchain.Faucet, user, amount1); err != nil {
+		return nil, err
+	}
+	pid := s.eng.PoolIDs()[0]
+	base := fmt.Sprintf("dep-%s-e%d", user, epoch)
+	submitted := s.sim.Now()
+	rc := &chain.Receipt{TxID: base, PoolID: pid, Status: chain.StatusPending, Epoch: epoch, SubmittedAt: submitted}
+	var deps []string
+	var txs []*mainchain.Tx
+	firstTime := !s.approved[user]
+	if firstTime {
+		s.approved[user] = true
+		ap0 := &mainchain.Tx{ID: base + "-ap0", From: user, To: t0.Name(), Method: "approve", Size: 100,
+			Args: mainchain.ApproveArgs{Spender: bankAddr, Amount: u256.Max}}
+		ap1 := &mainchain.Tx{ID: base + "-ap1", From: user, To: t1.Name(), Method: "approve", Size: 100,
+			DependsOn: []string{ap0.ID},
+			Args:      mainchain.ApproveArgs{Spender: bankAddr, Amount: u256.Max}}
+		ap0.OnConfirmed = func(tx *mainchain.Tx) { s.col.ObserveGas("approve", tx.GasUsed) }
+		ap1.OnConfirmed = func(tx *mainchain.Tx) { s.col.ObserveGas("approve", tx.GasUsed) }
+		deps = []string{ap1.ID}
+		txs = append(txs, ap0, ap1)
+	}
+	d0 := &mainchain.Tx{ID: base + "-d0", From: user, To: bankAddr, Method: "deposit", Size: 160,
+		DependsOn: deps,
+		Args:      mainchain.DepositArgs{Epoch: epoch, Amount0: amount0}}
+	d1 := &mainchain.Tx{ID: base + "-d1", From: user, To: bankAddr, Method: "deposit", Size: 160,
+		DependsOn: []string{d0.ID},
+		Args:      mainchain.DepositArgs{Epoch: epoch, Amount1: amount1}}
+	txs = append(txs, d0, d1)
+	var depositGas uint64
+	d0.OnConfirmed = func(tx *mainchain.Tx) { depositGas += tx.GasUsed }
+	latencyLabel := "deposit"
+	if firstTime {
+		// The paper's Table II measures the full two-approval flow.
+		latencyLabel = "deposit-first"
+	}
+	d1.OnConfirmed = func(tx *mainchain.Tx) {
+		if tx.Status != mainchain.TxConfirmed {
+			rc.Status = chain.StatusRejected
+			rc.Err = tx.Err
+			return
+		}
+		depositGas += tx.GasUsed
+		s.col.ObserveGas("deposit", depositGas)
+		s.col.ObserveMCLatency(latencyLabel, tx.ConfirmedAt-submitted)
+		rc.Status = chain.StatusSynced
+		rc.ExecutedAt = tx.ConfirmedAt
+		rc.SyncedAt = tx.ConfirmedAt
+		if s.err == nil {
+			s.creditDeposit(pendingDeposit{epoch: epoch, poolID: pid, user: user,
+				amount0: amount0, amount1: amount1, paper: true})
+		}
+	}
+	for _, tx := range txs {
+		s.mc.Submit(tx)
+	}
 	return rc, nil
 }
 
@@ -944,14 +1222,7 @@ func (s *MultiSystem) startEpoch(e uint64) {
 			remaining = append(remaining, pd)
 			continue
 		}
-		if err := s.eng.AddDeposit(pd.poolID, pd.user, pd.amount0, pd.amount1); err != nil {
-			pd.rc.Status = chain.StatusRejected
-			pd.rc.Err = err
-			continue
-		}
-		pd.rc.Status = chain.StatusExecuted
-		pd.rc.Epoch = e
-		pd.rc.ExecutedAt = s.sim.Now()
+		s.applyDeposit(pd, e)
 	}
 	s.pendingDeposits = remaining
 	if _, ok := s.committees[e+1]; !ok {
@@ -1005,24 +1276,24 @@ func (s *MultiSystem) runRound(e, r uint64) {
 	}
 	s.queue = s.queue[consumed:]
 
-	// Credit first-touch deposits for this round's (user, pool) pairs.
+	// Credit first-touch deposits for this round's (user, pool) pairs;
+	// the funding reaches custody without a mainchain transaction.
 	defaultPool := s.eng.PoolIDs()[0]
+	dep := s.cfg.DepositPerUserPerPool
 	for _, q := range batch {
 		pid := q.tx.PoolID
 		if pid == "" {
 			pid = defaultPool
 		}
-		bucket := s.funded[pid]
-		if bucket == nil {
-			bucket = make(map[string]bool)
-			s.funded[pid] = bucket
-		}
-		if bucket[q.tx.User] {
+		if s.markFunded(pid, q.tx.User) {
 			continue
 		}
-		bucket[q.tx.User] = true
 		// Submit already rejected unknown pools, so this cannot fail.
-		_ = s.eng.AddDeposit(pid, q.tx.User, s.cfg.DepositPerUserPerPool, s.cfg.DepositPerUserPerPool)
+		_ = s.eng.AddDeposit(pid, q.tx.User, dep, dep)
+		if err := s.bank.Fund(dep, dep); err != nil {
+			s.fail(fmt.Errorf("%w: fund custody: %v", chain.ErrEngineFailed, err))
+			return
+		}
 	}
 
 	res, err := s.eng.ExecuteRound(batchTxs, r)
@@ -1329,11 +1600,11 @@ func (s *MultiSystem) finishEpochSync(e uint64, lastRoundStart time.Duration) {
 		if s.err != nil {
 			return
 		}
+		// Decide the end of the run before submitting: the final epoch's
+		// sync also flushes any held mass-sync epochs.
+		s.done = int(e) >= s.epochsPlanned && len(s.queue) == 0 && s.ingest.CloseIfEmpty()
 		s.submitSignedSync(e, pkg.parts, pkg.partSizes)
-
-		lastEpoch := int(e) >= s.epochsPlanned && len(s.queue) == 0 && s.ingest.CloseIfEmpty()
-		if lastEpoch {
-			s.done = true
+		if s.done {
 			return
 		}
 		next := lastRoundStart + s.cfg.RoundDuration
@@ -1481,12 +1752,34 @@ func chunkPayloads(payloads []*summary.SyncPayload, budget uint64) [][]*summary.
 	return chunks
 }
 
-// submitSignedSync submits pre-signed sync parts to the mainchain; once
-// every part confirms, the payout metrics fire and the epoch's
-// meta-blocks are pruned. Shared by the serial schedule (finishEpochSync
-// signs via signSyncParts and submits here) and the pipelined retirement
-// path (parts pre-signed on the commit-stage worker).
+// submitSignedSync hands an epoch's pre-signed sync parts to the
+// mainchain. Shared by the serial schedule (finishEpochSync signs via
+// signSyncParts and submits here) and the pipelined retirement path
+// (parts pre-signed on the commit-stage worker). When the fault plan
+// loses the epoch's sync (a silent leader at epoch end, or a mainchain
+// rollback), the signed parts are held instead, and the next epoch's
+// committee submits every held epoch ahead of its own parts — the
+// paper's mass-sync recovery. The run's final sync is never lost, so a
+// run always ends fully synced.
 func (s *MultiSystem) submitSignedSync(e uint64, parts []*mainchain.MultiSyncArgs, sizes []int) {
+	if (s.cfg.Faults.SkipSyncEpochs[e] || s.cfg.Faults.ReorgSyncEpochs[e]) && !s.done {
+		s.held = append(s.held, heldSync{epoch: e, parts: parts, sizes: sizes})
+		return
+	}
+	if len(s.held) > 0 {
+		s.MassSyncs++
+		for _, h := range s.held {
+			s.sendSync(h.epoch, h.parts, h.sizes)
+		}
+		s.held = nil
+	}
+	s.sendSync(e, parts, sizes)
+}
+
+// sendSync submits one epoch's signed sync parts, each depending on
+// every part of the previously sent epoch; once every part confirms, the
+// payout metrics fire and the epoch's meta-blocks are pruned.
+func (s *MultiSystem) sendSync(e uint64, parts []*mainchain.MultiSyncArgs, sizes []int) {
 	submitted := s.sim.Now()
 	numParts := len(parts)
 	confirmed := 0
@@ -1777,6 +2070,8 @@ func (s *MultiSystem) Kill() {
 		s.live.stopAll()
 	}
 	if s.pipe != nil {
+		// Join the commit stage now; CollectReport's later close is a
+		// no-op.
 		s.pipe.close()
 	}
 	if s.st != nil {
@@ -1788,10 +2083,28 @@ func (s *MultiSystem) Kill() {
 	}
 }
 
-// Validate checks cross-layer parity for every registered pool: the
-// bank's stored reserves match the engine's canonical pool state, and
-// the stored position lists mirror the pools' live positions.
+// Validate checks the cross-layer invariants after a run:
+//  1. The bank's stored reserves equal every pool's canonical reserves.
+//  2. The bank's stored positions mirror every pool's live positions
+//     (genesis positions included: the bank registers them at
+//     deployment).
+//  3. Token conservation: the bank's ERC20 custody covers the stored
+//     reserves of all pools (plus deposits not yet paid out).
 func (s *MultiSystem) Validate() error {
+	if err := s.validatePools(); err != nil {
+		return err
+	}
+	have0, have1 := s.bank.Custody()
+	want0, want1 := s.bank.TotalReserves()
+	if have0.Lt(want0) || have1.Lt(want1) {
+		return fmt.Errorf("%w: bank custody %s/%s < pool reserves %s/%s", ErrMultiParity,
+			have0, have1, want0, want1)
+	}
+	return nil
+}
+
+// validatePools checks reserve and position parity pool by pool.
+func (s *MultiSystem) validatePools() error {
 	for _, pid := range s.eng.PoolIDs() {
 		pool := s.eng.Pool(pid)
 		res := s.bank.Reserves[pid]
@@ -1853,9 +2166,11 @@ func (s *MultiSystem) report() *chain.Report {
 		SidechainRetainedBytes: s.ledger.SizeBytes(),
 		SidechainPeakBytes:     s.ledger.PeakBytes(),
 		SidechainPrunedBytes:   s.ledger.PrunedBytes(),
+		SidechainUnpruned:      s.ledger.UnprunedBytes(),
 		NumPools:               len(s.eng.PoolIDs()),
 		NumShards:              s.eng.NumShards(),
 		SyncsOK:                s.SyncsOK,
+		MassSyncs:              s.MassSyncs,
 		ViewChanges:            s.ViewChanges,
 		Rejected:               s.Rejected,
 		QueuePeak:              s.queuePeak,

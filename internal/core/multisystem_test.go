@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -156,9 +157,9 @@ func TestMultiSystemDeterministicRoots(t *testing.T) {
 }
 
 // TestMultiSystemFaultSupport pins the FaultPlan contract on the
-// multi-pool backend: silent leaders are honored (view change counted,
-// round delayed), and the unsupported mass-sync faults are rejected at
-// construction instead of silently ignored.
+// node: silent leaders are honored (view change counted,
+// round delayed), and a skipped sync is recovered by one mass-sync that
+// leaves every epoch synced and the invariants intact.
 func TestMultiSystemFaultSupport(t *testing.T) {
 	base, drvCfg := multiTestConfigs(17, 8, 2, 2)
 	healthy, _, err := NewMultiDriver(base, drvCfg)
@@ -190,15 +191,29 @@ func TestMultiSystemFaultSupport(t *testing.T) {
 		t.Errorf("invariants with silent leader: %v", err)
 	}
 
-	unsupported, _ := multiTestConfigs(17, 8, 2, 2)
-	unsupported.Faults.SkipSyncEpochs = map[uint64]bool{2: true}
-	if _, err := NewMultiSystem(unsupported, []string{"u"}); !isChainErr(err, ErrUnsupportedFault) {
-		t.Errorf("SkipSyncEpochs on multi backend: err = %v, want ErrUnsupportedFault", err)
+	skipped, skipDrv := multiTestConfigs(17, 8, 2, 3)
+	skipped.Faults.SkipSyncEpochs = map[uint64]bool{2: true}
+	skipSys, _, err := NewMultiDriver(skipped, skipDrv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repC, err := skipSys.Run(skipDrv.Epochs)
+	if err != nil {
+		t.Fatalf("skip-sync run: %v", err)
+	}
+	if repC.MassSyncs != 1 {
+		t.Errorf("mass syncs = %d, want 1", repC.MassSyncs)
+	}
+	if got := int(skipSys.LastSyncedEpoch()); got != repC.EpochsRun {
+		t.Errorf("bank synced through %d of %d epochs", got, repC.EpochsRun)
+	}
+	if err := skipSys.Validate(); err != nil {
+		t.Errorf("invariants after mass-sync: %v", err)
 	}
 }
 
 // TestMultiSystemSyncRevertSurfaces pins the typed-error path on the
-// multi-pool backend: a committee signing a corrupted digest produces an
+// node: a committee signing a corrupted digest produces an
 // on-chain revert that Run surfaces as chain.ErrSyncReverted.
 func TestMultiSystemSyncRevertSurfaces(t *testing.T) {
 	sysCfg, drvCfg := multiTestConfigs(13, 8, 2, 2)
@@ -219,5 +234,127 @@ func TestMultiSystemSyncRevertSurfaces(t *testing.T) {
 	}
 	if rep.SyncsOK != 0 {
 		t.Errorf("SyncsOK = %d, want 0 (the only sync reverted)", rep.SyncsOK)
+	}
+}
+
+// TestKillDuringPipelinedRunReturnsError is the regression test for the
+// commit pipeline's double close: Kill joins the commit stage, and
+// CollectReport used to close it again, panicking inside Run. A node
+// killed mid-run must return an error instead.
+func TestKillDuringPipelinedRunReturnsError(t *testing.T) {
+	sysCfg, drvCfg := multiTestConfigs(7, 4, 2, 4)
+	sysCfg.PipelineDepth = 2
+	node, _, err := NewMultiDriver(sysCfg, drvCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := node.(*MultiSystem)
+	ms.OnEpochStart = func(e uint64) {
+		if e == 3 {
+			ms.Kill()
+		}
+	}
+	rep, err := node.Run(drvCfg.Epochs)
+	if err == nil {
+		t.Fatal("a killed node's Run must return an error")
+	}
+	if rep == nil || rep.EpochsRun != 3 {
+		t.Errorf("report = %+v, want the partial run up to epoch 3", rep)
+	}
+}
+
+// TestValidateUntouchedGenesisPositions pins parity for pools no swap,
+// burn or collect touches: the bank registers every pool's genesis
+// reserves and position at deployment, so light traffic over many pools
+// validates.
+func TestValidateUntouchedGenesisPositions(t *testing.T) {
+	sysCfg, drvCfg := multiTestConfigs(3, 64, 2, 2)
+	drvCfg.DailyVolume = 20_000
+	node, _, err := NewMultiDriver(sysCfg, drvCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := node.Run(drvCfg.Epochs); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if err := node.Validate(); err != nil {
+		t.Errorf("Validate: %v", err)
+	}
+	untouched := 0
+	ms := node.(*MultiSystem)
+	for _, pid := range ms.PoolIDs() {
+		if len(ms.bank.Positions[pid]) == 1 {
+			untouched++
+		}
+	}
+	if untouched == 0 {
+		t.Error("config no longer leaves a pool untouched; the test pins nothing")
+	}
+}
+
+// TestMassSyncDeterminism is the skip-fault row of the determinism
+// matrix: with epoch 2's sync skipped (and recovered by mass-sync in
+// epoch 3), summary roots and payload digests are bit-identical across
+// seeds × shard counts × pipeline depths — and identical to the
+// fault-free run, because recovery only delays the mainchain side.
+func TestMassSyncDeterminism(t *testing.T) {
+	run := func(seed int64, shards, depth int, skip bool) multiRunFingerprint {
+		t.Helper()
+		sysCfg, drvCfg := multiTestConfigs(seed, 16, shards, 3)
+		sysCfg.PipelineDepth = depth
+		if skip {
+			sysCfg.Faults.SkipSyncEpochs = map[uint64]bool{2: true}
+		}
+		node, _, err := NewMultiDriver(sysCfg, drvCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := node.Run(drvCfg.Epochs)
+		if err != nil {
+			t.Fatalf("seed=%d shards=%d depth=%d: %v", seed, shards, depth, err)
+		}
+		if skip && rep.MassSyncs != 1 {
+			t.Errorf("seed=%d shards=%d depth=%d: %d mass-syncs, want 1", seed, shards, depth, rep.MassSyncs)
+		}
+		if got := int(node.LastSyncedEpoch()); got != rep.EpochsRun {
+			t.Errorf("seed=%d shards=%d depth=%d: synced through %d of %d epochs",
+				seed, shards, depth, got, rep.EpochsRun)
+		}
+		if err := node.Validate(); err != nil {
+			t.Errorf("seed=%d shards=%d depth=%d: Validate: %v", seed, shards, depth, err)
+		}
+		fp := multiRunFingerprint{roots: rep.SummaryRoots, payloads: make(map[uint64][][32]byte)}
+		for _, sb := range node.(*MultiSystem).SidechainLedger().Summaries() {
+			fp.payloads[sb.Epoch] = append(fp.payloads[sb.Epoch], sb.Payload.Digest())
+		}
+		return fp
+	}
+	same := func(label string, want, got multiRunFingerprint) {
+		t.Helper()
+		if len(got.roots) != len(want.roots) {
+			t.Fatalf("%s: %d epochs, want %d", label, len(got.roots), len(want.roots))
+		}
+		for e, root := range want.roots {
+			if got.roots[e] != root {
+				t.Errorf("%s: epoch %d summary root diverged", label, e)
+			}
+			if len(got.payloads[e]) != len(want.payloads[e]) {
+				t.Errorf("%s: epoch %d has %d payloads, want %d", label, e, len(got.payloads[e]), len(want.payloads[e]))
+				continue
+			}
+			for i, d := range want.payloads[e] {
+				if got.payloads[e][i] != d {
+					t.Errorf("%s: epoch %d payload %d digest diverged", label, e, i)
+				}
+			}
+		}
+	}
+	for _, seed := range []int64{1, 42, 1337} {
+		ref := run(seed, 1, 1, false)
+		for _, shards := range []int{1, 4, 16} {
+			for _, depth := range []int{1, 2} {
+				same(fmt.Sprintf("seed=%d shards=%d depth=%d", seed, shards, depth), ref, run(seed, shards, depth, true))
+			}
+		}
 	}
 }

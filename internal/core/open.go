@@ -14,14 +14,14 @@ import (
 	"ammboost/internal/store"
 )
 
-// The multi-pool backend registers itself as chain.Open's and
-// chain.Bootstrap's implementation.
+// The node registers itself as chain.Open's and chain.Bootstrap's
+// implementation.
 func init() {
 	chain.RegisterOpener(Open)
 	chain.RegisterBootstrapper(Bootstrap)
 }
 
-// Open opens (or creates) a durable multi-pool deployment rooted at dir.
+// Open opens (or creates) a durable deployment rooted at dir.
 // A fresh directory starts a new node that persists every retired epoch;
 // an existing store restores the newest valid snapshot boundary, replays
 // the sync-part log through the bank's full verification chain, and
@@ -61,9 +61,6 @@ func OpenFederatedFS(shared *Shared, fsys store.FS, dir string, cfg chain.Config
 
 func openFS(shared *Shared, fsys store.FS, dir string, cfg chain.Config) (chain.Chain, error) {
 	cfg = cfg.WithDefaults()
-	if cfg.NumPools == 0 {
-		return nil, fmt.Errorf("%w: set NumPools > 0", chain.ErrStoreUnsupported)
-	}
 	rec, w, err := store.Open(fsys, dir, Fingerprint(cfg))
 	if err != nil {
 		return nil, err
@@ -309,6 +306,13 @@ func (s *MultiSystem) restore(rec *store.Recovery) error {
 		}
 	}
 	s.epoch = boundary
+	// Custody follows the re-derived bank state: the deposits and payouts
+	// that moved tokens before the crash happened on a mainchain that did
+	// not survive (a federation member's shared chain did survive, and
+	// re-seeding rebinds its custody to the authenticated state too).
+	if err := s.bank.ReseedCustody(); err != nil {
+		return fmt.Errorf("%w: custody: %v", chain.ErrCorruptStore, err)
+	}
 
 	if rec.Halt != nil {
 		info.Halted = true

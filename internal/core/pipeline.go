@@ -112,9 +112,10 @@ type stageTimings struct {
 // The inflight window is owned by the simulator goroutine; only the jobs
 // channel and each job's done/pkg pair cross goroutines.
 type commitPipeline struct {
-	jobs     chan *commitJob
-	wg       sync.WaitGroup
-	inflight []*commitJob
+	jobs      chan *commitJob
+	wg        sync.WaitGroup
+	inflight  []*commitJob
+	closeOnce sync.Once
 }
 
 // newCommitPipeline starts the stage worker. depth bounds the number of
@@ -159,9 +160,10 @@ func (p *commitPipeline) awaitOldest() *commitJob {
 // close shuts the stage down after the simulator drained: the worker
 // finishes any queued jobs (a halted run may abandon their packages) and
 // exits. Blocks until the worker goroutine is gone, so Run never leaks a
-// goroutine still touching engine state.
+// goroutine still touching engine state. Idempotent: Kill joins the stage
+// early and CollectReport closes it again.
 func (p *commitPipeline) close() {
-	close(p.jobs)
+	p.closeOnce.Do(func() { close(p.jobs) })
 	p.wg.Wait()
 }
 

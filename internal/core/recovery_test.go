@@ -359,10 +359,15 @@ func TestOpenEdgeCases(t *testing.T) {
 		}
 	})
 
-	t.Run("single-pool backend unsupported", func(t *testing.T) {
-		single := chain.Config{Seed: 1}
-		if _, err := chain.Open(t.TempDir(), single); !errors.Is(err, chain.ErrStoreUnsupported) {
-			t.Errorf("err = %v, want ErrStoreUnsupported", err)
+	t.Run("unset pool count opens a single-pool node", func(t *testing.T) {
+		single := chain.Config{Seed: 1, CommitteeSize: 10, Users: recoveryUsers()}
+		node, err := chain.Open(t.TempDir(), single)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		defer node.Close()
+		if got := node.PoolIDs(); len(got) != 1 {
+			t.Errorf("pools = %v, want the single default pool", got)
 		}
 	})
 
@@ -515,4 +520,83 @@ func TestStoreLockSingleWriter(t *testing.T) {
 		t.Fatalf("reopen after close: %v", err)
 	}
 	node2.Close()
+}
+
+// TestKillRestartMassSync joins the mass-sync recovery path to the
+// restart contract: a store-backed run with a skipped sync, killed at
+// each epoch boundary (including the one whose sync was still held for
+// mass-sync) and reopened, re-derives the storeless reference's roots
+// and payload digests and ends fully synced.
+func TestKillRestartMassSync(t *testing.T) {
+	const epochs, pools, perEpoch = 4, 8, 24
+	for _, seed := range []int64{1, 42, 1337} {
+		for _, depth := range []int{1, 2} {
+			cfg := recoveryCfg(seed, pools, 4, depth)
+			cfg.Faults.SkipSyncEpochs = map[uint64]bool{2: true}
+			label := fmt.Sprintf("seed=%d depth=%d", seed, depth)
+
+			refSys, err := NewMultiSystem(cfg, cfg.Users)
+			if err != nil {
+				t.Fatal(err)
+			}
+			attachRecoveryTraffic(t, refSys, seed, perEpoch)
+			refRep, err := refSys.Run(epochs)
+			if err != nil {
+				t.Fatalf("%s: reference run: %v", label, err)
+			}
+			if refRep.MassSyncs != 1 {
+				t.Errorf("%s: reference ran %d mass-syncs, want 1", label, refRep.MassSyncs)
+			}
+			ref := fingerprintRun(refRep, refSys)
+
+			dir := t.TempDir()
+			node, err := chain.Open(dir, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms := node.(*MultiSystem)
+			attachRecoveryTraffic(t, ms, seed, perEpoch)
+			rep, err := node.Run(epochs)
+			if err != nil {
+				t.Fatalf("%s: store-backed run: %v", label, err)
+			}
+			comparePrints(t, label+" (store-backed)", ref, fingerprintRun(rep, ms), epochs)
+			if err := node.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rec, w, err := store.Open(store.OSFS{}, dir, Fingerprint(cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Close()
+			data, err := os.ReadFile(filepath.Join(dir, store.FileName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for kill := 1; kill < epochs; kill++ {
+				dir2 := t.TempDir()
+				if err := os.WriteFile(filepath.Join(dir2, store.FileName), data[:rec.Boundaries[kill-1]], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				node2, err := chain.Open(dir2, cfg)
+				if err != nil {
+					t.Fatalf("%s: reopen after kill@%d: %v", label, kill, err)
+				}
+				ms2 := node2.(*MultiSystem)
+				attachRecoveryTraffic(t, ms2, seed, perEpoch)
+				rep2, err := node2.Run(epochs)
+				if err != nil {
+					t.Fatalf("%s kill@%d: resumed run: %v", label, kill, err)
+				}
+				comparePrints(t, fmt.Sprintf("%s kill@%d", label, kill), ref, fingerprintRun(rep2, ms2), epochs)
+				if got := node2.LastSyncedEpoch(); got != epochs {
+					t.Errorf("%s kill@%d: synced through %d, want %d", label, kill, got, epochs)
+				}
+				if err := node2.Validate(); err != nil {
+					t.Errorf("%s kill@%d: resumed Validate: %v", label, kill, err)
+				}
+				node2.Close()
+			}
+		}
+	}
 }

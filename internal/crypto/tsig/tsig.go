@@ -2,7 +2,7 @@
 // TSQC (threshold-signature quorum certificate) sync authentication: a
 // (2f+2)-of-(3f+2) scheme with a joint Feldman-style DKG, partial signing,
 // Lagrange share combination, and public verification against the
-// committee's group key recorded in TokenBank.
+// committee's group key recorded in the mainchain bank.
 //
 // The paper uses BLS over BN256 (pairing-based); the Go standard library has
 // no pairing-friendly curve, so this package realizes the same linear
@@ -188,7 +188,7 @@ func VerifyShare(share Share, commitments []Point) error {
 }
 
 // GroupKey is the committee verification key (vk_c in the paper), recorded
-// on TokenBank to authenticate Sync calls.
+// on the bank to authenticate Sync calls.
 type GroupKey struct {
 	PK        Point
 	Threshold int
@@ -209,7 +209,7 @@ type DKGResult struct {
 // commitments, and each participant's final share is the sum of the shares
 // addressed to it. The group key is the sum of the dealers' constant-term
 // commitments. The committee runs this at the start of its epoch to derive
-// vk_c (registered on TokenBank by the previous committee's Sync).
+// vk_c (registered on the bank by the previous committee's Sync).
 func RunDKG(random io.Reader, t, n int) ([]DKGResult, error) {
 	dealings := make([]*Dealing, n)
 	for j := 0; j < n; j++ {
@@ -312,7 +312,7 @@ func lagrangeAtZero(ps []PartialSig, i int, q *big.Int) *big.Int {
 }
 
 // Verify checks the combined signature against the group key:
-// σ == H(m)·PK. TokenBank performs this check (charging BN256 pairing gas
+// σ == H(m)·PK. The bank performs this check (charging BN256 pairing gas
 // in the cost model) before accepting a Sync.
 func Verify(g GroupKey, msg []byte, sig Point) error {
 	h := hashToScalar(msg)

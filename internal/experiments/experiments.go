@@ -59,9 +59,9 @@ func paperDriverConfig(o Options, dailyVolume int) core.DriverConfig {
 
 // runAmmBoost executes a full ammBoost deployment through the unified
 // chain.Chain API and validates the cross-layer invariants. The concrete
-// *core.System is returned for the few experiments that inspect the
+// *core.MultiSystem is returned for the few experiments that inspect the
 // sidechain ledger directly.
-func runAmmBoost(sysCfg chain.Config, drvCfg core.DriverConfig) (*core.System, *chain.Report, error) {
+func runAmmBoost(sysCfg chain.Config, drvCfg core.DriverConfig) (*core.MultiSystem, *chain.Report, error) {
 	node, _, err := core.NewDriver(sysCfg, drvCfg)
 	if err != nil {
 		return nil, nil, err
@@ -73,7 +73,7 @@ func runAmmBoost(sysCfg chain.Config, drvCfg core.DriverConfig) (*core.System, *
 	if err := node.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("experiments: invariant violation: %w", err)
 	}
-	return node.(*core.System), rep, nil
+	return node.(*core.MultiSystem), rep, nil
 }
 
 // table renders an aligned text table.

@@ -1,5 +1,5 @@
 // Package gasmodel holds the Ethereum-calibrated cost model: gas constants
-// for the EVM operations TokenBank and the baseline Uniswap deployment
+// for the EVM operations the bank and the baseline Uniswap deployment
 // perform (Table II/III of the paper), and the byte-size model for
 // mainchain ABI encoding versus sidechain binary packing (Table IV and the
 // Table VII traffic analysis).
@@ -17,7 +17,7 @@ const (
 	// SstoreClearGas is a storage clear (net of the EVM's clearing
 	// refund); position deletions in Sync charge this per entry.
 	SstoreClearGas uint64 = 5_000
-	// PayoutEntryGas is TokenBank's constant fee per payout entry
+	// PayoutEntryGas is the bank's constant fee per payout entry
 	// (balance update + transfer bookkeeping).
 	PayoutEntryGas uint64 = 15_771
 	// KeccakBaseGas + KeccakWordGas*words is the Keccak256 cost.
@@ -29,11 +29,11 @@ const (
 	// (EIP-197), as measured for the paper's BLS verification.
 	PairingGas uint64 = 113_000
 	// DepositTwoTokensGas is the measured total for a two-token deposit
-	// (two ERC20 approvals + two transferFroms + TokenBank bookkeeping).
+	// (two ERC20 approvals + two transferFroms + bank bookkeeping).
 	DepositTwoTokensGas uint64 = 105_392
 )
 
-// PositionEntryWords is the TokenBank storage footprint of one liquidity
+// PositionEntryWords is the bank's storage footprint of one liquidity
 // position entry: 192 bytes = 6 words.
 const PositionEntryWords = 6
 

@@ -94,14 +94,14 @@ func (e *ERC20) Execute(env *Env, method string, args any) error {
 }
 
 // internalTransfer moves tokens without a transaction (contract-internal
-// call, e.g. TokenBank dispensing payouts inside Sync). The caller charges
+// call, e.g. the bank dispensing payouts inside a sync). The caller charges
 // gas.
 func (e *ERC20) internalTransfer(from, to string, amount u256.Int) error {
 	return e.Ledger.Transfer(from, to, amount)
 }
 
 // internalTransferFrom moves approved tokens inside another contract's
-// execution (TokenBank pulling a deposit).
+// execution (the bank pulling a deposit).
 func (e *ERC20) internalTransferFrom(spender, owner, to string, amount u256.Int) error {
 	return e.Ledger.TransferFrom(spender, owner, to, amount)
 }

@@ -10,16 +10,26 @@ import (
 	"ammboost/internal/u256"
 )
 
-// MultiBank errors.
+// Bank errors.
 var (
-	ErrUnknownBankPool = errors.New("multibank: pool not registered")
-	ErrNoSummaryRoot   = errors.New("multibank: sync carries no summary root")
-	ErrBadSyncPart     = errors.New("multibank: sync part out of range or repeated")
-	ErrRootMismatch    = errors.New("multibank: sync parts disagree on summary root")
+	ErrUnknownEpochKey  = errors.New("multibank: no committee key registered for epoch")
+	ErrBadSyncSignature = errors.New("multibank: sync signature rejected")
+	ErrEpochAlreadySync = errors.New("multibank: epoch already synced")
+	ErrFlashNotRepaid   = errors.New("multibank: flash loan not repaid with fee")
+	ErrUnknownBankPool  = errors.New("multibank: pool not registered")
+	ErrNoSummaryRoot    = errors.New("multibank: sync carries no summary root")
+	ErrBadSyncPart      = errors.New("multibank: sync part out of range or repeated")
+	ErrRootMismatch     = errors.New("multibank: sync parts disagree on summary root")
+	ErrCustodyShort     = errors.New("multibank: custody cannot cover the sync's payouts")
 )
 
 // MultiBankAddress is the on-chain account of the multi-pool bank.
 const MultiBankAddress = "multibank"
+
+// Faucet is the minter of the deployment's ERC20 pair: genesis liquidity,
+// user wallets, and the deposits that reach custody without a mainchain
+// transaction are all minted by it.
+const Faucet = "genesis"
 
 // BankAddressFor returns the on-chain account a chain's bank deploys at:
 // the shared default for the single-tenant case (empty chain ID) and a
@@ -38,14 +48,20 @@ type PoolReserves struct {
 	Reserve1 u256.Int
 }
 
-// MultiBank is the multi-pool TokenBank variant backing internal/engine
-// deployments: it stores per-pool reserves and liquidity positions,
-// verifies TSQC-authenticated epoch syncs whose payloads span every
-// registered pool, and records each epoch's folded summary root so any
-// pool's end state can be proven against a single on-chain commitment.
-// Token custody is modeled at the accounting level only (the single-pool
-// TokenBank already reproduces the paper's ERC20 transfer flows).
+// MultiBank is ammBoost's mainchain bank (the paper's Fig. 3 bank contract)
+// for any number of pools: it holds the ERC20 pair in custody, accepts
+// the users' epoch deposits, stores per-pool reserves and liquidity
+// positions, verifies TSQC-authenticated epoch syncs whose payloads span
+// every registered pool, pays out each sync's balances, records each
+// epoch's folded summary root so any pool's end state can be proven
+// against a single on-chain commitment, and serves flash loans (the one
+// operation that must stay on the mainchain).
 type MultiBank struct {
+	token0 *ERC20
+	token1 *ERC20
+	// FeePips is the pools' fee, charged on flash loans.
+	FeePips uint32
+
 	// Reserves[poolID] mirrors the canonical pool balances.
 	Reserves map[string]PoolReserves
 	// Positions[poolID][positionID] is the stored position list.
@@ -78,22 +94,79 @@ type MultiBank struct {
 	addr string
 }
 
-// NewMultiBank deploys the bank over the registered pool IDs with the
-// epoch-1 committee key, mirroring the paper's SystemSetup.
-func NewMultiBank(poolIDs []string, genesisKey tsig.GroupKey) *MultiBank {
-	b := &MultiBank{
-		Reserves:     make(map[string]PoolReserves, len(poolIDs)),
-		Positions:    make(map[string]map[string]summary.PositionEntry, len(poolIDs)),
+// NewMultiBank deploys the bank over the ERC20 pair with the epoch-1
+// committee key, mirroring the paper's SystemSetup. Pools join with
+// RegisterPool.
+func NewMultiBank(token0, token1 *ERC20, genesisKey tsig.GroupKey) *MultiBank {
+	return &MultiBank{
+		token0:       token0,
+		token1:       token1,
+		Reserves:     make(map[string]PoolReserves),
+		Positions:    make(map[string]map[string]summary.PositionEntry),
 		SummaryRoots: make(map[uint64][32]byte),
 		groupKeys:    map[uint64]tsig.GroupKey{1: genesisKey},
 		synced:       make(map[uint64]bool),
 		partsApplied: make(map[uint64]map[int]bool),
 	}
-	for _, id := range poolIDs {
-		b.Reserves[id] = PoolReserves{}
-		b.Positions[id] = make(map[string]summary.PositionEntry)
+}
+
+// RegisterPool records a pool at deployment: its genesis reserves, held
+// in custody, and its genesis liquidity position. Call after WithAddress
+// (custody lives at the bank's account).
+func (b *MultiBank) RegisterPool(id string, reserve0, reserve1 u256.Int, genesis summary.PositionEntry) error {
+	b.Reserves[id] = PoolReserves{Reserve0: reserve0, Reserve1: reserve1}
+	b.Positions[id] = map[string]summary.PositionEntry{genesis.ID: genesis}
+	return b.Fund(reserve0, reserve1)
+}
+
+// Fund mints tokens straight into custody: deposits that reach the bank
+// without a mainchain transaction (genesis liquidity, on-demand funding,
+// cross-chain re-credits).
+func (b *MultiBank) Fund(amount0, amount1 u256.Int) error {
+	if err := b.token0.Ledger.Mint(Faucet, b.Name(), amount0); err != nil {
+		return err
 	}
-	return b
+	return b.token1.Ledger.Mint(Faucet, b.Name(), amount1)
+}
+
+// Custody returns the bank's ERC20 balances.
+func (b *MultiBank) Custody() (amount0, amount1 u256.Int) {
+	return b.token0.Ledger.BalanceOf(b.Name()), b.token1.Ledger.BalanceOf(b.Name())
+}
+
+// TotalReserves sums the stored reserves over every pool: what custody
+// must at least hold (token conservation).
+func (b *MultiBank) TotalReserves() (reserve0, reserve1 u256.Int) {
+	for _, r := range b.Reserves {
+		reserve0 = u256.Add(reserve0, r.Reserve0)
+		reserve1 = u256.Add(reserve1, r.Reserve1)
+	}
+	return reserve0, reserve1
+}
+
+// ReseedCustody sets custody to exactly the stored reserves. A bank
+// restored from the durable store re-derives its pool state from
+// authenticated records, but deposits and payouts moved tokens on a
+// mainchain that did not survive; re-seeding restores token conservation
+// from the restored state alone.
+func (b *MultiBank) ReseedCustody() error {
+	want0, want1 := b.TotalReserves()
+	for _, leg := range []struct {
+		tok  *ERC20
+		want u256.Int
+	}{{b.token0, want0}, {b.token1, want1}} {
+		have := leg.tok.Ledger.BalanceOf(b.Name())
+		if diff, under := u256.SubUnderflow(leg.want, have); !under {
+			if err := leg.tok.Ledger.Mint(Faucet, b.Name(), diff); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := leg.tok.Ledger.Burn(b.Name(), u256.Sub(have, leg.want)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // WithAddress rebinds the bank to a chain-scoped on-chain account (see
@@ -148,6 +221,23 @@ func (a *MultiSyncArgs) Digest() [32]byte {
 	return sha256Digest(acc)
 }
 
+// DepositArgs is one leg of a user's epoch deposit. The user must have
+// approved the bank on the corresponding ERC20 beforehand.
+type DepositArgs struct {
+	Epoch   uint64
+	Amount0 u256.Int
+	Amount1 u256.Int
+}
+
+// FlashArgs requests a flash loan from one pool's reserves, served by the
+// callback within the same transaction.
+type FlashArgs struct {
+	PoolID   string
+	Amount0  u256.Int
+	Amount1  u256.Int
+	Callback func(amount0, amount1 u256.Int) (repay0, repay1 u256.Int)
+}
+
 // Execute implements Contract.
 func (b *MultiBank) Execute(env *Env, method string, args any) error {
 	switch method {
@@ -156,24 +246,99 @@ func (b *MultiBank) Execute(env *Env, method string, args any) error {
 		if !ok {
 			return ErrBadArgs
 		}
-		return b.sync(env, a)
+		return b.applySync(env, a)
+	case "deposit":
+		a, ok := args.(DepositArgs)
+		if !ok {
+			return ErrBadArgs
+		}
+		return b.deposit(env, a)
+	case "flash":
+		a, ok := args.(FlashArgs)
+		if !ok {
+			return ErrBadArgs
+		}
+		return b.flash(env, a)
 	default:
 		return fmt.Errorf("%w: multibank has no method %q", ErrBadArgs, method)
 	}
 }
 
-// sync executes an on-chain sync part under gas metering; the
-// verification chain itself is shared with crash-recovery replay
-// (applySync).
-func (b *MultiBank) sync(env *Env, a *MultiSyncArgs) error {
-	return b.applySync(env, a)
+// deposit pulls an approved deposit leg into custody. A full two-token
+// deposit costs the measured Table II total; a single-token leg costs
+// half, so the split four-transaction deposit flow sums to the same
+// figure. The sidechain credits the deposit when its last leg confirms.
+func (b *MultiBank) deposit(env *Env, a DepositArgs) error {
+	legs := uint64(0)
+	if !a.Amount0.IsZero() {
+		legs++
+	}
+	if !a.Amount1.IsZero() {
+		legs++
+	}
+	if legs == 0 {
+		return fmt.Errorf("%w: empty deposit", ErrBadArgs)
+	}
+	if err := env.Gas.Charge(gasmodel.DepositTwoTokensGas / 2 * legs); err != nil {
+		return err
+	}
+	if !a.Amount0.IsZero() {
+		if err := b.token0.internalTransferFrom(b.Name(), env.Caller, b.Name(), a.Amount0); err != nil {
+			return err
+		}
+	}
+	if !a.Amount1.IsZero() {
+		if err := b.token1.internalTransferFrom(b.Name(), env.Caller, b.Name(), a.Amount1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// flash lends from a pool's reserves inside one transaction: two
+// transfers out, the callback, two transfers back, and the fee check.
+// The fee stays in custody; the pool's stored reserves remain the
+// sidechain's to report.
+func (b *MultiBank) flash(env *Env, a FlashArgs) error {
+	res, ok := b.Reserves[a.PoolID]
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrUnknownBankPool, a.PoolID)
+	}
+	if a.Amount0.Gt(res.Reserve0) || a.Amount1.Gt(res.Reserve1) {
+		return fmt.Errorf("multibank: flash exceeds pool %s reserves", a.PoolID)
+	}
+	if err := env.Gas.Charge(gasmodel.TxBaseGas + 4*gasmodel.SstoreWordGas + gasmodel.KeccakGas(64)); err != nil {
+		return err
+	}
+	fee := func(amount u256.Int) u256.Int {
+		return u256.DivRoundingUp(u256.Mul(amount, u256.FromUint64(uint64(b.FeePips))), u256.FromUint64(1_000_000))
+	}
+	if err := b.token0.internalTransfer(b.Name(), env.Caller, a.Amount0); err != nil {
+		return err
+	}
+	if err := b.token1.internalTransfer(b.Name(), env.Caller, a.Amount1); err != nil {
+		return err
+	}
+	repay0, repay1 := a.Callback(a.Amount0, a.Amount1)
+	if repay0.Lt(u256.Add(a.Amount0, fee(a.Amount0))) || repay1.Lt(u256.Add(a.Amount1, fee(a.Amount1))) {
+		// Loan inverted: claw the principal back (single-transaction
+		// atomicity on the real chain).
+		_ = b.token0.internalTransfer(env.Caller, b.Name(), a.Amount0)
+		_ = b.token1.internalTransfer(env.Caller, b.Name(), a.Amount1)
+		return ErrFlashNotRepaid
+	}
+	if err := b.token0.internalTransfer(env.Caller, b.Name(), repay0); err != nil {
+		return err
+	}
+	return b.token1.internalTransfer(env.Caller, b.Name(), repay1)
 }
 
 // applySync is the one implementation of the sync verification chain —
 // epoch key lookup, TSQC signature over the part digest, part
 // bookkeeping, root consistency, payload application, completion — used
-// by on-chain execution (env != nil, gas charged) and by crash-recovery
-// replay (env == nil: the original execution already paid the gas). One
+// by on-chain execution (env != nil: gas charged, payouts transferred)
+// and by crash-recovery replay (env == nil: the original execution
+// already paid the gas and moved the tokens). One
 // body, so the two paths cannot drift: a check added here guards both.
 func (b *MultiBank) applySync(env *Env, a *MultiSyncArgs) error {
 	key, ok := b.groupKeys[a.Epoch]
@@ -230,11 +395,18 @@ func (b *MultiBank) applySync(env *Env, a *MultiSyncArgs) error {
 	// blocks actually fill up and the deferral path starts running.)
 	completing := len(applied)+1 == numParts
 	var bill uint64
+	var pay0, pay1 u256.Int
 	for _, p := range a.Payloads {
 		if _, ok := b.Positions[p.PoolID]; !ok {
 			return fmt.Errorf("%w: %s", ErrUnknownBankPool, p.PoolID)
 		}
 		bill += uint64(len(p.Payouts)) * gasmodel.PayoutEntryGas
+		if env != nil {
+			for _, e := range p.Payouts {
+				pay0 = u256.Add(pay0, e.Amount0)
+				pay1 = u256.Add(pay1, e.Amount1)
+			}
+		}
 		for _, e := range p.Positions {
 			if e.Deleted {
 				bill += gasmodel.SstoreClearGas
@@ -250,11 +422,17 @@ func (b *MultiBank) applySync(env *Env, a *MultiSyncArgs) error {
 		bill += gasmodel.SstoreGas(gasmodel.ABIGroupKeyBytes)
 	}
 	if env != nil {
+		if have0, have1 := b.Custody(); have0.Lt(pay0) || have1.Lt(pay1) {
+			return fmt.Errorf("%w: payouts %s/%s, custody %s/%s", ErrCustodyShort, pay0, pay1, have0, have1)
+		}
 		if err := env.Gas.Charge(bill); err != nil {
 			return err
 		}
 	}
 	for _, p := range a.Payloads {
+		if env != nil {
+			b.payOut(p)
+		}
 		b.applyPoolPayload(p)
 	}
 	applied[part] = true
@@ -290,10 +468,22 @@ func (b *MultiBank) complete(a *MultiSyncArgs) {
 // the full verification chain (applySync) runs exactly as on-chain
 // execution would, so a recovered bank's state is re-derived from
 // authenticated records rather than trusted from disk; only gas
-// accounting is skipped (the original execution already paid it).
+// accounting and payout transfers are skipped (the original execution
+// already did both).
 // Parts must replay in their original submission order.
 func (b *MultiBank) ReplaySync(a *MultiSyncArgs) error {
 	return b.applySync(nil, a)
+}
+
+// payOut transfers each payout entry's balance out of custody. sync
+// checked custody covers the whole part first, so no transfer can fail.
+// Crash-recovery replay skips payouts: the tokens moved on a mainchain
+// that did not survive, and ReseedCustody restores conservation instead.
+func (b *MultiBank) payOut(p *summary.SyncPayload) {
+	for _, e := range p.Payouts {
+		_ = b.token0.internalTransfer(b.Name(), e.User, e.Amount0)
+		_ = b.token1.internalTransfer(b.Name(), e.User, e.Amount1)
+	}
 }
 
 // applyPoolPayload writes one pool's synced state; gas was charged up

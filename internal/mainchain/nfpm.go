@@ -15,16 +15,17 @@ var (
 )
 
 // PositionNFT is the paper's Remark 3 extension: an ERC721-style wrapper
-// over TokenBank's liquidity positions, enabling streamlined verification
+// over one pool's liquidity positions in the bank, enabling streamlined verification
 // and transfer of position ownership, as Uniswap V3's NFPM does.
 //
 // Per the remark's caveat, an NFT is only minted when its position reaches
 // the mainchain — i.e., after the epoch's Sync — so operations on a
 // freshly-created sidechain position must wait an epoch before the token
-// exists; TokenBank remains the source of truth for ownership, and
+// exists; the bank remains the source of truth for ownership, and
 // transfers through this contract update it.
 type PositionNFT struct {
-	bank *TokenBank
+	bank *MultiBank
+	pool string
 	// minted marks position IDs whose NFT exists.
 	minted map[string]bool
 	// approvals[posID] = approved operator.
@@ -33,10 +34,11 @@ type PositionNFT struct {
 	serials    map[string]uint64
 }
 
-// NewPositionNFT deploys the wrapper over a TokenBank.
-func NewPositionNFT(bank *TokenBank) *PositionNFT {
+// NewPositionNFT deploys the wrapper over one bank pool's positions.
+func NewPositionNFT(bank *MultiBank, poolID string) *PositionNFT {
 	return &PositionNFT{
 		bank:      bank,
+		pool:      poolID,
 		minted:    make(map[string]bool),
 		approvals: make(map[string]string),
 		serials:   make(map[string]uint64),
@@ -68,7 +70,7 @@ func (n *PositionNFT) Execute(env *Env, method string, args any) error {
 		if err := env.Gas.Charge(gasmodel.TxBaseGas); err != nil {
 			return err
 		}
-		for id := range n.bank.Positions {
+		for id := range n.bank.Positions[n.pool] {
 			if n.minted[id] {
 				continue
 			}
@@ -81,7 +83,7 @@ func (n *PositionNFT) Execute(env *Env, method string, args any) error {
 		}
 		// Burn tokens whose position vanished.
 		for id := range n.minted {
-			if _, ok := n.bank.Positions[id]; !ok {
+			if _, ok := n.bank.Positions[n.pool][id]; !ok {
 				delete(n.minted, id)
 				delete(n.approvals, id)
 			}
@@ -101,7 +103,7 @@ func (n *PositionNFT) Execute(env *Env, method string, args any) error {
 		if err := env.Gas.Charge(gasmodel.TxBaseGas + gasmodel.SstoreWordGas); err != nil {
 			return err
 		}
-		pos, ok := n.bank.Positions[a.PosID]
+		pos, ok := n.bank.Positions[n.pool][a.PosID]
 		if !ok {
 			return ErrNFTUnknownToken
 		}
@@ -119,7 +121,7 @@ func (n *PositionNFT) transfer(env *Env, a NFTTransferArgs) error {
 	if err := env.Gas.Charge(gasmodel.TxBaseGas + 3*gasmodel.SstoreWordGas); err != nil {
 		return err
 	}
-	pos, ok := n.bank.Positions[a.PosID]
+	pos, ok := n.bank.Positions[n.pool][a.PosID]
 	if !ok {
 		return ErrNFTUnknownToken
 	}
@@ -129,18 +131,18 @@ func (n *PositionNFT) transfer(env *Env, a NFTTransferArgs) error {
 	if env.Caller != pos.Owner && n.approvals[a.PosID] != env.Caller {
 		return ErrNFTNotOwner
 	}
-	// Ownership moves in TokenBank itself: the next epoch's SnapshotBank
+	// Ownership moves in the bank itself: the next epoch's SnapshotBank
 	// sees the new owner, so sidechain burns/collects by the recipient
 	// are accepted.
 	pos.Owner = a.To
-	n.bank.Positions[a.PosID] = pos
+	n.bank.Positions[n.pool][a.PosID] = pos
 	delete(n.approvals, a.PosID)
 	return nil
 }
 
 // OwnerOf returns the position owner via the NFT view.
 func (n *PositionNFT) OwnerOf(posID string) (string, error) {
-	pos, ok := n.bank.Positions[posID]
+	pos, ok := n.bank.Positions[n.pool][posID]
 	if !ok || !n.minted[posID] {
 		return "", ErrNFTUnknownToken
 	}

@@ -15,11 +15,11 @@ import (
 func nftFixture(t *testing.T) (*bankFixture, *PositionNFT) {
 	t.Helper()
 	f := newBankFixture(t)
-	f.bank.Positions["pos1"] = summary.PositionEntry{
+	f.bank.Positions[testPool]["pos1"] = summary.PositionEntry{
 		ID: "pos1", Owner: "lp", TickLower: -60, TickUpper: 60,
 		Liquidity: u256.FromUint64(1000),
 	}
-	nft := NewPositionNFT(f.bank)
+	nft := NewPositionNFT(f.bank, testPool)
 	f.chain.Deploy(nft)
 	return f, nft
 }
@@ -60,8 +60,8 @@ func TestNFTTransferMovesBankOwnership(t *testing.T) {
 	if xfer.Status != TxConfirmed {
 		t.Fatalf("transfer failed: %v", xfer.Err)
 	}
-	// TokenBank is the source of truth: the next SnapshotBank sees carol.
-	if got := f.bank.Positions["pos1"].Owner; got != "carol" {
+	// The bank is the source of truth: the next SnapshotBank sees carol.
+	if got := f.bank.Positions[testPool]["pos1"].Owner; got != "carol" {
 		t.Errorf("bank owner = %q, want carol", got)
 	}
 	if owner, _ := nft.OwnerOf("pos1"); owner != "carol" {
@@ -125,7 +125,7 @@ func TestNFTBurnedWithPosition(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = members
-	delete(f.bank.Positions, "pos1")
+	delete(f.bank.Positions[testPool], "pos1")
 	f.run(t, &Tx{ID: "m2", From: "keeper", To: "position-nft", Method: "mintFromSync"})
 	f.chain.Stop()
 	if nft.Minted("pos1") {

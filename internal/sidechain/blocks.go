@@ -130,7 +130,7 @@ type Ledger struct {
 }
 
 // NewLedger creates an empty ledger whose genesis references the mainchain
-// block carrying TokenBank.
+// block carrying the bank.
 func NewLedger(genesisRef [32]byte) *Ledger {
 	return &Ledger{
 		metasByEpoch: make(map[uint64][]*MetaBlock),

@@ -3,7 +3,7 @@
 // and the committee is the set with the smallest outputs (ranked
 // sortition), the leader being the overall minimum. Election proofs are the
 // VRF proofs, so anyone can verify that a claimed committee is the rightful
-// one — the property TokenBank's TSQC key registration relies on.
+// one — the property the bank's TSQC key registration relies on.
 package election
 
 import (
@@ -196,7 +196,7 @@ func lessBytes(a, b [32]byte) bool {
 // VerifyMembership checks a member's election proof against the registry
 // and epoch seed: the proof must be a valid VRF proof whose output matches
 // the ticket. This is what committee e runs before registering committee
-// e+1's group key on TokenBank.
+// e+1's group key on the bank.
 func VerifyMembership(reg *Registry, chainSeed [32]byte, epoch uint64, t Ticket) error {
 	m := reg.Miner(t.MinerID)
 	if m == nil {

@@ -21,7 +21,7 @@ var (
 )
 
 // Executor processes sidechain transactions for one epoch against the pool
-// snapshot retrieved from TokenBank at epoch start (SnapshotBank), evolving
+// snapshot retrieved from the bank at epoch start (SnapshotBank), evolving
 // user deposits per the Fig. 4 rules. At epoch end, Summary() folds the
 // result into the Sync payload.
 //
@@ -53,7 +53,7 @@ type Executor struct {
 }
 
 // NewExecutor snapshots the pool and deposits for an epoch. The pool is
-// cloned: the caller's copy (TokenBank's view) stays frozen, per the
+// cloned: the caller's copy (the bank's view) stays frozen, per the
 // paper's pool-snapshot-based trading.
 func NewExecutor(epoch uint64, pool *amm.Pool, deposits map[string]Deposit) *Executor {
 	deps := make(map[string]*Deposit, len(deposits))
@@ -314,7 +314,7 @@ func (e *Executor) applyCollect(tx *Tx) error {
 // sumPayouts = Deposits (every participating user's updated balance), and
 // sumPositions = the touched/deleted liquidity positions with their final
 // liquidity and fee balances. Pool reserves carry the updated pool balance
-// TokenBank stores.
+// the bank stores.
 func (e *Executor) Summary(nextGroupKey []byte) *SyncPayload {
 	e.Settle()
 	p := &SyncPayload{

@@ -182,7 +182,7 @@ func TestMintBurnCollectLifecycle(t *testing.T) {
 		}
 	}
 	if found == nil || !found.Deleted {
-		t.Error("summary should carry the deletion for TokenBank")
+		t.Error("summary should carry the deletion for the bank")
 	}
 }
 

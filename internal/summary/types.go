@@ -106,7 +106,7 @@ type Deposit struct {
 func (d Deposit) Clone() Deposit { return d }
 
 // PayoutEntry is one row of the sync payout list: the user's updated
-// deposit balance, paid out (and leftovers refunded) when TokenBank
+// deposit balance, paid out (and leftovers refunded) when the bank
 // processes the Sync.
 type PayoutEntry struct {
 	User    string
@@ -123,15 +123,14 @@ type PositionEntry struct {
 	Liquidity u256.Int
 	Fees0     u256.Int // uncollected fees / owed tokens
 	Fees1     u256.Int
-	Deleted   bool // fully withdrawn: TokenBank removes the entry
+	Deleted   bool // fully withdrawn: the bank removes the entry
 }
 
-// SyncPayload is the full input to TokenBank.Sync for one epoch: the
+// SyncPayload is one pool's input to the bank's sync for one epoch: the
 // payout and position lists plus the updated pool reserves.
 type SyncPayload struct {
 	Epoch uint64
-	// PoolID identifies the pool this payload summarizes in multi-pool
-	// deployments; empty for the single-pool system.
+	// PoolID identifies the pool this payload summarizes.
 	PoolID       string
 	Payouts      []PayoutEntry
 	Positions    []PositionEntry

@@ -1,6 +1,7 @@
 // Package token implements an ERC20-style fungible token ledger: balances,
-// allowances, transfers, and mint/burn by an authorized minter. TokenBank
-// and the baseline Uniswap deployment move funds through this ledger.
+// allowances, transfers, and mint/burn by an authorized minter. The
+// mainchain bank and the baseline Uniswap deployment move funds through
+// this ledger.
 package token
 
 import (
